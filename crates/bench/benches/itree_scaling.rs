@@ -21,15 +21,16 @@ fn build_summarized(n: u64, pcs: u32) -> IntervalTree<u32> {
 /// Builds a tree of `m` *non-mergeable* nodes (every access from a fresh
 /// key at a scattered address).
 fn build_scattered(m: u64, offset: u64) -> IntervalTree<u32> {
-    let mut t = IntervalTree::new();
     let mut x = 0x9E3779B97F4A7C15u64.wrapping_add(offset);
-    for i in 0..m {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        t.insert(StridedInterval::new(offset + (x % (m * 64)), 0, 0, 8), i as u32);
-    }
-    t
+    let entries = (0..m)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (StridedInterval::new(offset + (x % (m * 64)), 0, 0, 8), i as u32)
+        })
+        .collect();
+    IntervalTree::bulk_load(entries)
 }
 
 fn bench_build(c: &mut Criterion) {

@@ -38,7 +38,7 @@ fn main() {
         let archer_low = sword_bench::run_archer(&w, &cfg, true, Some(node.available()));
         let sword = sword_bench::run_sword(&w, &cfg, &format!("t4-amg{n}"));
         table.row(&[
-            w.spec.name.to_string(),
+            w.spec().name.to_string(),
             fmt_races(archer.races, archer.stats.oom),
             fmt_races(archer_low.races, archer_low.stats.oom),
             sword.analysis.race_count().to_string(),

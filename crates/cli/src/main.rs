@@ -51,7 +51,12 @@
 //!     taskwait/taskgroup, and dynamic/guided/ordered loops.
 //! sword list
 //!     List available workloads with their ground truth.
+//! sword help | sword --help | sword <command> -h
+//!     Print this usage to standard output and exit 0.
 //! ```
+//!
+//! `--size` is rejected for workloads whose input size is fixed (the
+//! `AMG2013_<n>` variants), which would otherwise ignore it silently.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -86,6 +91,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
+  sword help | --help | <command> -h
   sword list
   sword run <workload> [--threads N] [--size S] [--session DIR] [--live]
                         [--stats] [--obs] [--listen ADDR]
@@ -160,6 +166,10 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err("missing command".into());
     };
+    if cmd == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return Ok(());
+    }
     match cmd.as_str() {
         "list" => cmd_list(),
         "run" => cmd_run(&args[1..]),
@@ -183,6 +193,9 @@ fn workload_arg(args: &[String]) -> Result<(Box<dyn Workload>, RunConfig, Flags)
     };
     let w = find_workload(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
     let flags = Flags::parse(&args[1..])?;
+    if flags.map.contains_key("size") && !w.takes_size() {
+        return Err(format!("workload `{name}` has a fixed size; --size does not apply to it"));
+    }
     let cfg =
         RunConfig { threads: flags.get_usize("threads", 4)?, size: flags.get_u64("size", 0)? };
     Ok((w, cfg, flags))

@@ -1,18 +1,25 @@
-//! Self-balancing interval trees for SWORD's offline race analysis.
+//! Build-once static interval trees for SWORD's offline race analysis.
 //!
 //! The offline phase summarizes each thread's memory accesses within one
-//! barrier interval into an *augmented red-black interval tree* (§III-B of
-//! the paper): a node holds a strided interval — base address, stride,
-//! count, access size — plus the access metadata (R/W, program counter,
-//! mutex set, atomicity), so a contiguous or strided sweep over an array
-//! costs one node instead of one node per access. Race detection then
-//! compares the trees of concurrent threads: coarse `[begin, end)` overlap
-//! is found with the tree's `max_end` augmentation, and candidates are
-//! confirmed with the exact strided-overlap constraint solve from
-//! [`sword_solver`].
+//! barrier interval into an *augmented interval tree* (§III-B of the
+//! paper): a node holds a strided interval — base address, stride, count,
+//! access size — plus the access metadata (R/W, program counter, mutex
+//! set, atomicity), so a contiguous or strided sweep over an array costs
+//! one node instead of one node per access. Race detection then compares
+//! the trees of concurrent threads: coarse `[begin, end)` overlap is found
+//! with the tree's `max_end` augmentation, and candidates are confirmed
+//! with the exact strided-overlap constraint solve from [`sword_solver`].
+//!
+//! The paper grows each tree incrementally as a red-black tree. Analysis
+//! never inserts into a tree after its interval is folded and never
+//! removes from one, so this crate stages the nodes in a flat vector and
+//! lays them out once, sorted by begin address, as an implicitly balanced
+//! tree ([`IntervalTree::bulk_load`]). The in-order sequence is the one
+//! the red-black tree yields (equal begins keep insertion order).
 //!
 //! Complexity matches the paper's §III-B analysis: building a tree from
-//! `N` accesses is `O(N log N)`; comparing two trees with `M` nodes is
+//! `N` accesses is `O(N log N)` (the fold is `O(N)`, the sort of `M`
+//! staged nodes `O(M log M)`); comparing two trees with `M` nodes is
 //! `O(M log M)`; summarization makes `M ≤ N` (often `M ≪ N`).
 //!
 //! # Example
@@ -46,6 +53,7 @@ mod tree;
 
 pub use hash::{FxBuildHasher, FxHasher};
 pub use sword_solver::{strided_overlap, Fingerprint, StridedInterval};
+use tree::Node;
 pub use tree::{IntervalTree, NodeRef};
 
 use std::collections::HashMap;
@@ -55,24 +63,17 @@ use std::hash::Hash;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MergeOutcome {
     /// The access extended an existing node (array sweep continuing).
-    Extended(NodeRef),
+    Extended,
     /// The access repeated the previous one exactly; nothing changed.
-    Duplicate(NodeRef),
-    /// A fresh node was inserted.
-    New(NodeRef),
+    Duplicate,
+    /// A fresh node was staged.
+    New,
 }
 
 impl MergeOutcome {
-    /// The node now covering the access.
-    pub fn node(&self) -> NodeRef {
-        match *self {
-            MergeOutcome::Extended(n) | MergeOutcome::Duplicate(n) | MergeOutcome::New(n) => n,
-        }
-    }
-
     /// `true` unless a fresh node was created.
     pub fn merged(&self) -> bool {
-        !matches!(self, MergeOutcome::New(_))
+        !matches!(self, MergeOutcome::New)
     }
 }
 
@@ -90,15 +91,14 @@ const MAX_STRIDE_BYTES: u64 = 4096;
 
 #[derive(Clone, Copy, Debug)]
 struct MergeSlot {
-    node: NodeRef,
-    /// Authoritative interval of this progression. The tree node lags
-    /// behind while a run is open (see `dirty`), so the per-access hot
-    /// path never touches the tree: extension decisions read and write
-    /// this copy, and the accumulated extent is flushed in one
-    /// `extend_interval` when the slot retires.
+    /// Index of the progression's node in the staging vector.
+    node: u32,
+    /// Authoritative interval of this progression. The staged node lags
+    /// behind while a run is open, so the per-access hot path touches
+    /// only the ring: extension decisions read and write this copy, and
+    /// the accumulated extent is written to the staged node when the slot
+    /// retires.
     iv: StridedInterval,
-    /// Whether `iv` has extensions the tree node has not seen yet.
-    dirty: bool,
     /// A second element observed after a single access, held back until a
     /// third access confirms the stride (or the slot is retired, at which
     /// point it is materialized as its own node).
@@ -116,7 +116,9 @@ struct MergeSlot {
 /// instrumented array loops emit.
 #[derive(Clone, Debug)]
 pub struct SummarizingBuilder<K: Hash + Eq + Clone, V> {
-    tree: IntervalTree<V>,
+    /// Nodes in creation order; laid out as a tree by
+    /// [`finish`](Self::finish).
+    staged: Vec<Node<V>>,
     /// Most-recent-first rings of live progressions, one per distinct
     /// key, indexed by [`SummarizingBuilder::index`].
     rings: Vec<[Option<MergeSlot>; MERGE_HISTORY]>,
@@ -148,7 +150,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
     /// Creates an empty builder.
     pub fn new() -> Self {
         SummarizingBuilder {
-            tree: IntervalTree::new(),
+            staged: Vec::new(),
             rings: Vec::new(),
             index: HashMap::default(),
             memo: vec![None; KEY_CACHE_WAYS],
@@ -164,7 +166,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
     /// Number of tree nodes (the paper's `M ≤ N`). Pending second
     /// elements are not counted until confirmed or flushed.
     pub fn node_count(&self) -> usize {
-        self.tree.len()
+        self.staged.len()
     }
 
     /// The ring index for `key`, creating an empty ring for a fresh key.
@@ -215,55 +217,63 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
             let ring = &mut self.rings[ri];
             let result = match outcome {
                 SlotMatch::None => continue,
-                SlotMatch::Covered => MergeOutcome::Duplicate(slot.node),
+                SlotMatch::Covered | SlotMatch::PendingRepeat => MergeOutcome::Duplicate,
                 SlotMatch::Extend(extended) => {
-                    ring[i] = Some(MergeSlot {
-                        node: slot.node,
-                        iv: extended,
-                        dirty: true,
-                        pending: None,
-                    });
-                    MergeOutcome::Extended(slot.node)
+                    ring[i] = Some(MergeSlot { node: slot.node, iv: extended, pending: None });
+                    MergeOutcome::Extended
                 }
                 SlotMatch::Pend => {
                     ring[i] = Some(MergeSlot { pending: Some(addr), ..slot });
-                    MergeOutcome::Extended(slot.node)
+                    MergeOutcome::Extended
                 }
-                SlotMatch::PendingRepeat => MergeOutcome::Duplicate(slot.node),
             };
-            // Promote the hit to the front of the ring.
-            self.rings[ri][..=i].rotate_right(1);
+            // Promote the hit to the front of the ring. Swaps rather than
+            // `rotate_right`: the generic slice rotate is not reliably
+            // inlined, and an out-of-line call here costs ~5% of the fold
+            // on sweep-heavy intervals.
+            for j in (0..i).rev() {
+                self.rings[ri].swap(j, j + 1);
+            }
             return result;
         }
-        // No progression matched: start a new one, retiring the oldest.
+        self.start_progression(ri, addr, size, value());
+        MergeOutcome::New
+    }
+
+    /// Stages a fresh single-access node at `addr` as the newest
+    /// progression of ring `ri`, retiring the ring's oldest. Kept out of
+    /// line so the extension fast path in
+    /// [`insert_with`](Self::insert_with) stays small.
+    fn start_progression(&mut self, ri: usize, addr: u64, size: u64, value: V) {
         let iv = StridedInterval::single(addr, size);
-        let node = self.tree.insert(iv, value());
+        let pos = self.staged.len();
+        let node = u32::try_from(pos).expect("interval tree node capacity exceeded");
+        self.staged.push(Node::staged(iv, value, pos));
         let ring = &mut self.rings[ri];
         let retired = ring[MERGE_HISTORY - 1];
         ring.rotate_right(1);
-        ring[0] = Some(MergeSlot { node, iv, dirty: false, pending: None });
+        ring[0] = Some(MergeSlot { node, iv, pending: None });
         if let Some(slot) = retired {
             self.retire(slot);
         }
-        MergeOutcome::New(node)
     }
 
     /// Flushes a slot leaving the ring: writes its accumulated extent to
-    /// the tree node in one `extend_interval`, and gives an unconfirmed
-    /// second element its own single node (it still represents a real
-    /// access, sharing the representative's value).
+    /// the staged node in place, and gives an unconfirmed second element
+    /// its own single node (it still represents a real access, sharing
+    /// the representative's value).
     fn retire(&mut self, slot: MergeSlot) {
-        if slot.dirty {
-            self.tree.extend_interval(slot.node, slot.iv);
-        }
+        let staged = &mut self.staged[slot.node as usize];
+        staged.interval = slot.iv;
         if let Some(p) = slot.pending {
-            let value = self.tree.value(slot.node).clone();
-            self.tree.insert(StridedInterval::single(p, slot.iv.size), value);
+            let value = staged.value.clone();
+            let pos = self.staged.len();
+            self.staged.push(Node::staged(StridedInterval::single(p, slot.iv.size), value, pos));
         }
     }
 
     /// Finishes the build, flushing open progressions and unconfirmed
-    /// pendings, and returns the tree.
+    /// pendings, and lays the staged nodes out as a tree.
     pub fn finish(mut self) -> IntervalTree<V> {
         let rings = std::mem::take(&mut self.rings);
         for ring in rings {
@@ -271,14 +281,7 @@ impl<K: Hash + Eq + Clone, V: Clone> SummarizingBuilder<K, V> {
                 self.retire(slot);
             }
         }
-        self.tree
-    }
-
-    /// Read access to the tree under construction. Note: pending second
-    /// elements and the unflushed extents of still-open progressions are
-    /// not yet visible here.
-    pub fn tree(&self) -> &IntervalTree<V> {
-        &self.tree
+        IntervalTree::from_staged(self.staged)
     }
 }
 
@@ -391,23 +394,24 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_query_basic() {
-        let mut t = IntervalTree::new();
-        t.insert(iv(10, 0, 0, 4), "a");
-        t.insert(iv(20, 0, 0, 4), "b");
-        t.insert(iv(5, 0, 0, 20), "c"); // covers [5,25)
+    fn bulk_load_and_query_basic() {
+        let t = IntervalTree::bulk_load(vec![
+            (iv(10, 0, 0, 4), "a"),
+            (iv(20, 0, 0, 4), "b"),
+            (iv(5, 0, 0, 20), "c"), // covers [5,25)
+        ]);
         t.assert_invariants();
         let hits = t.range_overlaps(12, 13);
         let names: Vec<_> = hits.iter().map(|&h| *t.value(h)).collect();
         assert_eq!(names, vec!["c", "a"]); // in-order by begin
         assert!(t.range_overlaps(25, 30).is_empty());
         assert_eq!(t.range_overlaps(0, 100).len(), 3);
+        assert_eq!(t.bounds(), Some((5, 25)));
     }
 
     #[test]
     fn overlap_query_is_half_open() {
-        let mut t = IntervalTree::new();
-        t.insert(iv(10, 0, 0, 4), ()); // [10,14)
+        let t = IntervalTree::bulk_load(vec![(iv(10, 0, 0, 4), ())]); // [10,14)
         assert!(t.range_overlaps(14, 20).is_empty(), "touching at end is no overlap");
         assert!(t.range_overlaps(0, 10).is_empty(), "touching at begin is no overlap");
         assert_eq!(t.range_overlaps(13, 14).len(), 1);
@@ -415,63 +419,34 @@ mod tests {
     }
 
     #[test]
-    fn many_inserts_stay_balanced() {
-        let mut t = IntervalTree::new();
-        for i in 0..4096u64 {
-            t.insert(iv(i * 8, 0, 0, 8), i);
-        }
+    fn large_tree_is_balanced() {
+        let t = IntervalTree::bulk_load((0..4096u64).map(|i| (iv(i * 8, 0, 0, 8), i)).collect());
         t.assert_invariants();
-        // RB height bound: ≤ 2·log2(n+1).
-        let bound = 2 * (usize::BITS - (t.len() + 1).leading_zeros()) as usize;
-        assert!(t.height() <= bound, "height {} exceeds RB bound {}", t.height(), bound);
+        assert_eq!(t.height(), 13, "⌈log₂(4097)⌉");
     }
 
     #[test]
-    fn ascending_and_descending_inserts() {
+    fn ascending_and_descending_input() {
         for descending in [false, true] {
-            let mut t = IntervalTree::new();
-            for i in 0..1000u64 {
-                let k = if descending { 999 - i } else { i };
-                t.insert(iv(k * 4, 0, 0, 4), ());
-            }
+            let t = IntervalTree::bulk_load(
+                (0..1000u64)
+                    .map(|i| {
+                        let k = if descending { 999 - i } else { i };
+                        (iv(k * 4, 0, 0, 4), ())
+                    })
+                    .collect(),
+            );
             t.assert_invariants();
             assert_eq!(t.len(), 1000);
             let all: Vec<u64> = t.iter().map(|(_, iv, _)| iv.begin()).collect();
-            let mut sorted = all.clone();
-            sorted.sort_unstable();
-            assert_eq!(all, sorted, "in-order iteration is sorted");
+            assert_eq!(all, (0..1000u64).map(|k| k * 4).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn remove_keeps_invariants() {
-        let mut t: IntervalTree<u64> = IntervalTree::new();
-        let handles: Vec<_> = (0..512u64).map(|i| t.insert(iv(i * 16, 0, 0, 8), i)).collect();
-        // Remove every third node.
-        for (i, h) in handles.iter().enumerate() {
-            if i % 3 == 0 {
-                let (ivl, v) = t.remove(*h);
-                assert_eq!(ivl.begin(), (i as u64) * 16);
-                assert_eq!(v, i as u64);
-                t.assert_invariants();
-            }
-        }
-        assert_eq!(t.len(), 512 - 171);
-        // Removed intervals no longer found.
-        assert!(t.range_overlaps(0, 8).is_empty());
-        assert_eq!(t.range_overlaps(16, 24).len(), 1);
-    }
-
-    #[test]
-    fn remove_reuses_slots() {
-        let mut t: IntervalTree<()> = IntervalTree::new();
-        let h = t.insert(iv(0, 0, 0, 8), ());
-        t.remove(h);
-        let before = t.arena_bytes();
-        for i in 0..1 {
-            t.insert(iv(100 + i, 0, 0, 8), ());
-        }
-        assert_eq!(t.arena_bytes(), before, "freed slot is reused");
+    fn arena_is_exactly_sized() {
+        let t = IntervalTree::bulk_load((0..100u64).rev().map(|i| (iv(i, 0, 0, 1), i)).collect());
+        assert_eq!(t.arena_bytes(), 100 * std::mem::size_of::<tree::Node<u64>>());
     }
 
     #[test]
@@ -513,11 +488,11 @@ mod tests {
     #[test]
     fn builder_splits_on_stride_break() {
         let mut b: SummarizingBuilder<u32, ()> = SummarizingBuilder::new();
-        assert!(matches!(b.insert_with(1, 0, 8, || ()), MergeOutcome::New(_)));
-        assert!(matches!(b.insert_with(1, 8, 8, || ()), MergeOutcome::Extended(_)));
-        assert!(matches!(b.insert_with(1, 16, 8, || ()), MergeOutcome::Extended(_)));
+        assert_eq!(b.insert_with(1, 0, 8, || ()), MergeOutcome::New);
+        assert_eq!(b.insert_with(1, 8, 8, || ()), MergeOutcome::Extended);
+        assert_eq!(b.insert_with(1, 16, 8, || ()), MergeOutcome::Extended);
         // Jump breaks the progression.
-        assert!(matches!(b.insert_with(1, 100, 8, || ()), MergeOutcome::New(_)));
+        assert_eq!(b.insert_with(1, 100, 8, || ()), MergeOutcome::New);
         assert_eq!(b.node_count(), 2);
     }
 
@@ -525,9 +500,9 @@ mod tests {
     fn builder_duplicate_access() {
         let mut b: SummarizingBuilder<u32, ()> = SummarizingBuilder::new();
         b.insert_with(1, 40, 8, || ());
-        assert!(matches!(b.insert_with(1, 40, 8, || ()), MergeOutcome::Duplicate(_)));
+        assert_eq!(b.insert_with(1, 40, 8, || ()), MergeOutcome::Duplicate);
         b.insert_with(1, 48, 8, || ());
-        assert!(matches!(b.insert_with(1, 48, 8, || ()), MergeOutcome::Duplicate(_)));
+        assert_eq!(b.insert_with(1, 48, 8, || ()), MergeOutcome::Duplicate);
         assert_eq!(b.node_count(), 1);
     }
 
@@ -535,8 +510,11 @@ mod tests {
     fn builder_backward_access_starts_new_node() {
         let mut b: SummarizingBuilder<u32, ()> = SummarizingBuilder::new();
         b.insert_with(1, 100, 8, || ());
-        assert!(matches!(b.insert_with(1, 50, 8, || ()), MergeOutcome::New(_)));
+        assert_eq!(b.insert_with(1, 50, 8, || ()), MergeOutcome::New);
         assert_eq!(b.node_count(), 2);
+        // Staged in creation order, laid out in begin order.
+        let begins: Vec<u64> = b.finish().iter().map(|(_, iv, _)| iv.begin()).collect();
+        assert_eq!(begins, vec![50, 100]);
     }
 
     #[test]
@@ -547,9 +525,9 @@ mod tests {
         }
         // Re-reading an element already inside the progression adds
         // nothing.
-        assert!(matches!(b.insert_with(1, 24, 8, || ()), MergeOutcome::Duplicate(_)));
+        assert_eq!(b.insert_with(1, 24, 8, || ()), MergeOutcome::Duplicate);
         // Off-stride revisit does not merge.
-        assert!(matches!(b.insert_with(1, 25, 8, || ()), MergeOutcome::New(_)));
+        assert_eq!(b.insert_with(1, 25, 8, || ()), MergeOutcome::New);
         assert_eq!(b.node_count(), 2);
     }
 
@@ -564,6 +542,21 @@ mod tests {
             b.insert_with(7, 0x8000 + j * 8, 8, || ()); // sweeping a[j]
         }
         assert_eq!(b.node_count(), 2, "two interleaved progressions, two nodes");
+    }
+
+    #[test]
+    fn builder_unconfirmed_pending_becomes_its_own_node() {
+        // A second element with no third to confirm the stride is flushed
+        // as a single node sharing the representative's value, staged
+        // after every node created before the flush.
+        let mut b: SummarizingBuilder<u32, u32> = SummarizingBuilder::new();
+        b.insert_with(1, 0, 8, || 10);
+        b.insert_with(1, 8, 8, || 11); // pends
+        b.insert_with(2, 8, 8, || 20);
+        let t = b.finish();
+        t.assert_invariants();
+        let nodes: Vec<_> = t.iter().map(|(_, iv, v)| (*iv, *v)).collect();
+        assert_eq!(nodes, vec![(iv(0, 0, 0, 8), 10), (iv(8, 0, 0, 8), 20), (iv(8, 0, 0, 8), 10)]);
     }
 
     #[test]
@@ -596,10 +589,8 @@ mod tests {
     fn candidate_pairs_require_exact_check() {
         // Figure 4: interleaved stride-8 size-4 accesses. Range overlap
         // yields a candidate, exact check rejects it.
-        let mut a = IntervalTree::new();
-        a.insert(iv(10, 8, 4, 4), ());
-        let mut b = IntervalTree::new();
-        b.insert(iv(14, 8, 4, 4), ());
+        let a = IntervalTree::bulk_load(vec![(iv(10, 8, 4, 4), ())]);
+        let b = IntervalTree::bulk_load(vec![(iv(14, 8, 4, 4), ())]);
         let mut candidates = 0;
         for_each_candidate_pair(&a, &b, |_, _, _, _| candidates += 1);
         assert_eq!(candidates, 1);
@@ -611,18 +602,20 @@ mod tests {
         let t: IntervalTree<()> = IntervalTree::new();
         assert!(t.is_empty());
         assert!(t.range_overlaps(0, u64::MAX).is_empty());
+        assert_eq!(t.bounds(), None);
         t.assert_invariants();
         assert_eq!(t.iter().count(), 0);
     }
 
     #[test]
-    fn duplicate_begin_addresses() {
-        let mut t = IntervalTree::new();
-        for i in 0..10 {
-            t.insert(iv(100, 0, 0, 4), i);
-        }
+    fn duplicate_begin_addresses_keep_input_order() {
+        let t = IntervalTree::bulk_load(
+            (0..10).map(|i| (iv(100 + 50 * (i % 2), 0, 0, 4), i)).rev().collect(),
+        );
         t.assert_invariants();
-        assert_eq!(t.range_overlaps(100, 101).len(), 10);
+        assert_eq!(t.range_overlaps(100, 101).len(), 5);
+        let order: Vec<u64> = t.iter().map(|(_, _, v)| *v).collect();
+        assert_eq!(order, vec![8, 6, 4, 2, 0, 9, 7, 5, 3, 1]);
     }
 }
 
@@ -636,15 +629,38 @@ mod proptests {
             .prop_map(|(b, st, c, sz)| StridedInterval::new(b, st, c, sz))
     }
 
+    /// Bulk-loads `ivs` with each interval's input position as its value.
+    fn tree_of(ivs: &[StridedInterval]) -> IntervalTree<usize> {
+        IntervalTree::bulk_load(ivs.iter().enumerate().map(|(i, iv)| (*iv, i)).collect())
+    }
+
+    /// Input positions stably sorted by begin: the in-order sequence.
+    fn begin_order(ivs: &[StridedInterval]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..ivs.len()).collect();
+        order.sort_by_key(|&i| ivs[i].begin());
+        order
+    }
+
     proptest! {
         #[test]
-        fn invariants_after_random_inserts(ivs in prop::collection::vec(arb_iv(), 0..200)) {
-            let mut t = IntervalTree::new();
-            for iv in &ivs {
-                t.insert(*iv, ());
+        fn iter_is_the_stable_sort_by_begin(ivs in prop::collection::vec(arb_iv(), 0..200)) {
+            let t = tree_of(&ivs);
+            let got: Vec<usize> = t.iter().map(|(_, _, &i)| i).collect();
+            prop_assert_eq!(got, begin_order(&ivs));
+            for (h, iv, &i) in t.iter() {
+                prop_assert_eq!(*iv, ivs[i]);
+                prop_assert_eq!(*t.interval(h), ivs[i]);
+                prop_assert_eq!(t.fingerprint(h), Fingerprint::of(&ivs[i]));
             }
+        }
+
+        #[test]
+        fn invariants_hold_after_bulk_load(ivs in prop::collection::vec(arb_iv(), 0..300)) {
+            let t = tree_of(&ivs);
             t.assert_invariants();
             prop_assert_eq!(t.len(), ivs.len());
+            let log2_ceil = (usize::BITS - ivs.len().leading_zeros()) as usize;
+            prop_assert!(t.height() <= log2_ceil);
         }
 
         #[test]
@@ -653,36 +669,38 @@ mod proptests {
             lo in 0u64..600, width in 0u64..100,
         ) {
             let hi = lo + width;
-            let mut t = IntervalTree::new();
-            for (i, iv) in ivs.iter().enumerate() {
-                t.insert(*iv, i);
-            }
-            let mut got: Vec<usize> = t.range_overlaps(lo, hi).iter().map(|&h| *t.value(h)).collect();
-            got.sort_unstable();
-            let mut expect: Vec<usize> = ivs.iter().enumerate()
-                .filter(|(_, iv)| iv.begin() < hi && lo < iv.end())
-                .map(|(i, _)| i)
+            let t = tree_of(&ivs);
+            let mut got = Vec::new();
+            t.for_each_range_overlap(lo, hi, |_, _, &i| got.push(i));
+            // Brute force, reported in the tree's (stable begin) order.
+            let expect: Vec<usize> = begin_order(&ivs)
+                .into_iter()
+                .filter(|&i| ivs[i].begin() < hi && lo < ivs[i].end())
                 .collect();
-            expect.sort_unstable();
             prop_assert_eq!(got, expect);
         }
 
         #[test]
-        fn invariants_after_interleaved_removals(
-            ivs in prop::collection::vec(arb_iv(), 1..120),
-            removals in prop::collection::vec(any::<prop::sample::Index>(), 0..60),
+        fn candidate_pair_sequence_matches_nested_loop(
+            a in prop::collection::vec(arb_iv(), 0..60),
+            b in prop::collection::vec(arb_iv(), 0..60),
         ) {
-            let mut t: IntervalTree<usize> = IntervalTree::new();
-            let mut live: Vec<NodeRef> = ivs.iter().enumerate()
-                .map(|(i, iv)| t.insert(*iv, i)).collect();
-            for r in removals {
-                if live.is_empty() { break; }
-                let pos = r.index(live.len());
-                let h = live.swap_remove(pos);
-                t.remove(h);
-                t.assert_invariants();
+            let (ta, tb) = (tree_of(&a), tree_of(&b));
+            let mut got = Vec::new();
+            for_each_candidate_pair_fp(&ta, &tb, |ia, fa, &va, ib, fb, &vb| {
+                assert_eq!((*ia, fa), (a[va], Fingerprint::of(&a[va])));
+                assert_eq!((*ib, fb), (b[vb], Fingerprint::of(&b[vb])));
+                got.push((va, vb));
+            });
+            let mut expect = Vec::new();
+            for i in begin_order(&a) {
+                for j in begin_order(&b) {
+                    if a[i].begin() < b[j].end() && b[j].begin() < a[i].end() {
+                        expect.push((i, j));
+                    }
+                }
             }
-            prop_assert_eq!(t.len(), live.len());
+            prop_assert_eq!(got, expect);
         }
 
         #[test]

@@ -1,57 +1,52 @@
-//! The augmented red-black tree machinery.
+//! The build-once static interval tree.
 //!
-//! An arena-backed (index-based, `#![forbid(unsafe_code)]`) red-black tree
-//! keyed by interval begin address, augmented with the maximum interval end
-//! of each subtree so that overlap queries prune whole subtrees — the
-//! classic CLRS "interval tree" (§14.3), which the paper cites for its
-//! offline phase.
+//! Nodes live in one flat arena sorted by begin address. The tree shape
+//! is implicit: the root of any index range `[lo, hi)` is its midpoint,
+//! its children are the roots of the two halves. The tree is therefore
+//! perfectly balanced (height `⌈log₂(n+1)⌉`) and carries no links,
+//! colors or rotations. Each node is augmented with the maximum interval
+//! end of its implicit subtree, computed bottom-up once at build time, so
+//! overlap queries prune whole subtrees as in the CLRS "interval tree"
+//! (§14.3) the paper cites for its offline phase.
 
 use sword_solver::{Fingerprint, StridedInterval};
-
-/// Sentinel index meaning "no node".
-pub(crate) const NIL: u32 = u32::MAX;
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Color {
-    Red,
-    Black,
-}
 
 #[derive(Clone, Debug)]
 pub(crate) struct Node<V> {
     pub interval: StridedInterval,
     pub value: V,
+    /// Largest interval end in the node's implicit subtree.
     pub max_end: u64,
     /// Packed stride-class fingerprint of `interval` (see
-    /// [`Fingerprint::pack`]), kept in sync on every interval update so the
-    /// candidate walk can run the congruence pre-screen without
-    /// re-dividing. Packed to 32 bits so it rides in the node's padding —
-    /// growing the node measurably slows the walk on big trees.
+    /// [`Fingerprint::pack`]), so the candidate walk can run the
+    /// congruence pre-screen without re-dividing. Packed to 32 bits so it
+    /// rides in the node's padding — growing the node measurably slows
+    /// the walk on big trees.
     pub fp: u32,
-    pub parent: u32,
-    pub left: u32,
-    pub right: u32,
-    pub color: Color,
 }
 
-/// An augmented red-black interval tree mapping [`StridedInterval`]s to
-/// values.
+/// A static interval tree mapping [`StridedInterval`]s to values, built
+/// once by [`IntervalTree::bulk_load`] and then only queried.
 ///
-/// Duplicate begin addresses are allowed (later inserts go right), so the
-/// tree is a multimap over intervals.
+/// Duplicate begin addresses are allowed and keep their input order, so
+/// the tree is a multimap over intervals.
 #[derive(Clone, Debug)]
 pub struct IntervalTree<V> {
-    pub(crate) nodes: Vec<Node<V>>,
-    pub(crate) root: u32,
-    /// Free list of removed slots for reuse.
-    free: Vec<u32>,
-    len: usize,
+    /// Nodes in ascending begin order (stable for equal begins).
+    nodes: Vec<Node<V>>,
 }
 
-/// Stable handle to a node in an [`IntervalTree`]. Invalidated by removal
-/// of that node (but not by removal of others).
+/// Handle to a node in an [`IntervalTree`]: its position in begin order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NodeRef(pub(crate) u32);
+
+impl NodeRef {
+    /// The node's position in begin order, in `0..len()`.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 impl<V> Default for IntervalTree<V> {
     fn default() -> Self {
@@ -59,31 +54,79 @@ impl<V> Default for IntervalTree<V> {
     }
 }
 
+/// Midpoint of `[lo, hi)`: the implicit root of that index range.
+#[inline]
+fn mid(lo: usize, hi: usize) -> usize {
+    lo + (hi - lo) / 2
+}
+
 impl<V> IntervalTree<V> {
     /// Creates an empty tree.
     pub fn new() -> Self {
-        IntervalTree { nodes: Vec::new(), root: NIL, free: Vec::new(), len: 0 }
+        IntervalTree { nodes: Vec::new() }
     }
 
-    /// Creates an empty tree with room for `cap` nodes.
-    pub fn with_capacity(cap: usize) -> Self {
-        IntervalTree { nodes: Vec::with_capacity(cap), root: NIL, free: Vec::new(), len: 0 }
+    /// Builds a tree from `entries` in any order. Entries are sorted by
+    /// begin address; equal begins keep their order in `entries`, which
+    /// is the order [`iter`](Self::iter) and the overlap queries report
+    /// them in. `O(n log n)`.
+    pub fn bulk_load(entries: Vec<(StridedInterval, V)>) -> Self {
+        Self::from_staged(
+            entries
+                .into_iter()
+                .enumerate()
+                .map(|(pos, (interval, value))| Node::staged(interval, value, pos))
+                .collect(),
+        )
+    }
+
+    /// Lays out nodes made by [`Node::staged`] as a tree, in place: sorts
+    /// them by (begin, staging position), so equal begins keep staging
+    /// order, then fills in each node's `max_end` and fingerprint. The
+    /// sort is the in-place unstable one — the position tiebreak makes it
+    /// stable without a scratch buffer — and is skipped for input already
+    /// in begin order (one sweep, or a single node).
+    pub(crate) fn from_staged(mut nodes: Vec<Node<V>>) -> Self {
+        assert!(u32::try_from(nodes.len()).is_ok(), "interval tree node capacity exceeded");
+        if !nodes.windows(2).all(|w| w[0].interval.begin() <= w[1].interval.begin()) {
+            nodes.sort_unstable_by_key(|n| (n.interval.begin(), n.max_end));
+        }
+        nodes.shrink_to_fit();
+        let mut tree = IntervalTree { nodes };
+        let n = tree.nodes.len();
+        tree.layout(0, n);
+        tree
+    }
+
+    /// Sets the fingerprint and `max_end` of every node of the implicit
+    /// subtree over `[lo, hi)` and returns the subtree's maximum end (0
+    /// when empty).
+    fn layout(&mut self, lo: usize, hi: usize) -> u64 {
+        if lo >= hi {
+            return 0;
+        }
+        let m = mid(lo, hi);
+        let below = self.layout(lo, m).max(self.layout(m + 1, hi));
+        let node = &mut self.nodes[m];
+        node.fp = Fingerprint::of(&node.interval).pack();
+        node.max_end = node.interval.end().max(below);
+        node.max_end
     }
 
     /// Number of intervals stored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len()
     }
 
     /// `true` when no intervals are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.nodes.is_empty()
     }
 
-    /// Approximate bytes held by the node arena — used by the memory
-    /// accounting that feeds the paper's overhead tables.
+    /// Bytes held by the node arena — used by the memory accounting that
+    /// feeds the paper's overhead tables.
     pub fn arena_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<Node<V>>()
     }
@@ -100,12 +143,6 @@ impl<V> IntervalTree<V> {
         &self.nodes[handle.0 as usize].value
     }
 
-    /// Mutable access to the value stored at `handle`.
-    #[inline]
-    pub fn value_mut(&mut self, handle: NodeRef) -> &mut V {
-        &mut self.nodes[handle.0 as usize].value
-    }
-
     /// The stride-class fingerprint cached for the interval at `handle`.
     #[inline]
     pub fn fingerprint(&self, handle: NodeRef) -> Fingerprint {
@@ -114,117 +151,55 @@ impl<V> IntervalTree<V> {
     }
 
     /// The bounding box of all stored intervals: the smallest begin and the
-    /// largest end, or `None` for an empty tree. O(log n) (leftmost descent
-    /// plus the root's `max_end` augmentation).
+    /// largest end, or `None` for an empty tree. O(1).
     pub fn bounds(&self) -> Option<(u64, u64)> {
-        if self.root == NIL {
-            return None;
-        }
-        let min_begin = self.nodes[self.minimum(self.root) as usize].interval.begin();
-        Some((min_begin, self.nodes[self.root as usize].max_end))
-    }
-
-    /// Replaces the interval at `handle`. The new interval must keep the
-    /// same begin address (summarization only ever extends the tail end of
-    /// an interval), so the BST order is untouched; `max_end` augmentation
-    /// is repaired upward.
-    pub fn extend_interval(&mut self, handle: NodeRef, interval: StridedInterval) {
-        let idx = handle.0;
-        assert_eq!(
-            self.nodes[idx as usize].interval.begin(),
-            interval.begin(),
-            "extend_interval must preserve the begin address"
-        );
-        self.nodes[idx as usize].interval = interval;
-        self.nodes[idx as usize].fp = Fingerprint::of(&interval).pack();
-        self.fix_max_up_value(idx);
-    }
-
-    /// Inserts an interval with its value; returns a handle to the node.
-    pub fn insert(&mut self, interval: StridedInterval, value: V) -> NodeRef {
-        let idx = self.alloc(interval, value);
-        // BST insert keyed on begin().
-        let key = self.nodes[idx as usize].interval.begin();
-        let mut parent = NIL;
-        let mut cur = self.root;
-        while cur != NIL {
-            parent = cur;
-            let cur_key = self.nodes[cur as usize].interval.begin();
-            cur = if key < cur_key {
-                self.nodes[cur as usize].left
-            } else {
-                self.nodes[cur as usize].right
-            };
-        }
-        self.nodes[idx as usize].parent = parent;
-        if parent == NIL {
-            self.root = idx;
-        } else if key < self.nodes[parent as usize].interval.begin() {
-            self.nodes[parent as usize].left = idx;
-        } else {
-            self.nodes[parent as usize].right = idx;
-        }
-        self.fix_max_up(idx);
-        self.insert_fixup(idx);
-        self.len += 1;
-        NodeRef(idx)
-    }
-
-    /// Removes the node at `handle`, returning its interval and value.
-    pub fn remove(&mut self, handle: NodeRef) -> (StridedInterval, V)
-    where
-        V: Default,
-    {
-        let z = handle.0;
-        self.delete_node(z);
-        self.len -= 1;
-        let node = &mut self.nodes[z as usize];
-        let interval = node.interval;
-        let value = std::mem::take(&mut node.value);
-        self.free.push(z);
-        (interval, value)
+        let first = self.nodes.first()?;
+        Some((first.interval.begin(), self.nodes[mid(0, self.nodes.len())].max_end))
     }
 
     /// Iterates all nodes in ascending begin-address order.
-    pub fn iter(&self) -> InorderIter<'_, V> {
-        InorderIter { tree: self, stack: Vec::new(), cur: self.root }
+    pub fn iter(&self) -> impl Iterator<Item = (NodeRef, &StridedInterval, &V)> {
+        self.nodes.iter().enumerate().map(|(i, n)| (NodeRef(i as u32), &n.interval, &n.value))
     }
 
-    /// Visits every stored interval whose `[begin, end)` range overlaps
-    /// `[lo, hi)`, using the `max_end` augmentation to prune subtrees.
+    /// Visits, in begin order, every stored interval whose `[begin, end)`
+    /// range overlaps `[lo, hi)`, using the `max_end` augmentation to
+    /// prune subtrees.
     pub fn for_each_range_overlap<F: FnMut(NodeRef, &StridedInterval, &V)>(
         &self,
         lo: u64,
         hi: u64,
         mut f: F,
     ) {
-        self.overlap_rec(self.root, lo, hi, &mut f);
+        self.overlap_rec(0, self.nodes.len(), lo, hi, &mut f);
     }
 
     fn overlap_rec<F: FnMut(NodeRef, &StridedInterval, &V)>(
         &self,
-        idx: u32,
+        first: usize,
+        last: usize,
         lo: u64,
         hi: u64,
         f: &mut F,
     ) {
-        if idx == NIL {
+        if first >= last {
             return;
         }
-        let node = &self.nodes[idx as usize];
+        let m = mid(first, last);
+        let node = &self.nodes[m];
         // Nothing in this subtree ends after lo: prune.
         if node.max_end <= lo {
             return;
         }
-        self.overlap_rec(node.left, lo, hi, f);
-        let iv = node.interval;
-        if iv.begin() < hi && lo < iv.end() {
-            f(NodeRef(idx), &self.nodes[idx as usize].interval, &self.nodes[idx as usize].value);
-        }
+        self.overlap_rec(first, m, lo, hi, f);
+        let iv = &node.interval;
         // Keys right of here all have begin ≥ this begin; if this begin is
         // already ≥ hi, no right descendant can overlap.
         if iv.begin() < hi {
-            self.overlap_rec(node.right, lo, hi, f);
+            if lo < iv.end() {
+                f(NodeRef(m as u32), iv, &node.value);
+            }
+            self.overlap_rec(m + 1, last, lo, hi, f);
         }
     }
 
@@ -235,428 +210,53 @@ impl<V> IntervalTree<V> {
         out
     }
 
-    // ---- internals -------------------------------------------------------
-
-    fn alloc(&mut self, interval: StridedInterval, value: V) -> u32 {
-        let max_end = interval.end();
-        let node = Node {
-            interval,
-            value,
-            max_end,
-            fp: Fingerprint::of(&interval).pack(),
-            parent: NIL,
-            left: NIL,
-            right: NIL,
-            color: Color::Red,
-        };
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx as usize] = node;
-            idx
-        } else {
-            let idx = self.nodes.len() as u32;
-            assert!(idx < NIL, "interval tree node capacity exceeded");
-            self.nodes.push(node);
-            idx
-        }
-    }
-
-    #[inline]
-    /// Recomputes a node's `max_end` from its interval and children,
-    /// returning whether the stored value changed.
-    fn recompute_max(&mut self, idx: u32) -> bool {
-        let node = &self.nodes[idx as usize];
-        let mut m = node.interval.end();
-        if node.left != NIL {
-            m = m.max(self.nodes[node.left as usize].max_end);
-        }
-        if node.right != NIL {
-            m = m.max(self.nodes[node.right as usize].max_end);
-        }
-        let changed = self.nodes[idx as usize].max_end != m;
-        self.nodes[idx as usize].max_end = m;
-        changed
-    }
-
-    /// Repairs `max_end` from `idx` all the way to the root. Structural
-    /// edits (insert splice, delete transplant) can leave several nodes
-    /// along the path stale at once, so no early exit is sound here.
-    fn fix_max_up(&mut self, mut idx: u32) {
-        while idx != NIL {
-            self.recompute_max(idx);
-            idx = self.nodes[idx as usize].parent;
-        }
-    }
-
-    /// Repairs `max_end` upward after a pure value change at `idx` (no
-    /// structural edit), stopping at the first node whose stored value
-    /// is already correct: every other node's max was consistent before,
-    /// and a node whose value is unchanged feeds its ancestors identical
-    /// inputs. Interval extension — the summarizer's per-access hot path
-    /// — usually settles within a step or two instead of walking the
-    /// full depth.
-    fn fix_max_up_value(&mut self, mut idx: u32) {
-        while idx != NIL {
-            if !self.recompute_max(idx) {
-                return;
-            }
-            idx = self.nodes[idx as usize].parent;
-        }
-    }
-
-    fn rotate_left(&mut self, x: u32) {
-        let y = self.nodes[x as usize].right;
-        debug_assert!(y != NIL);
-        let y_left = self.nodes[y as usize].left;
-        self.nodes[x as usize].right = y_left;
-        if y_left != NIL {
-            self.nodes[y_left as usize].parent = x;
-        }
-        let x_parent = self.nodes[x as usize].parent;
-        self.nodes[y as usize].parent = x_parent;
-        if x_parent == NIL {
-            self.root = y;
-        } else if self.nodes[x_parent as usize].left == x {
-            self.nodes[x_parent as usize].left = y;
-        } else {
-            self.nodes[x_parent as usize].right = y;
-        }
-        self.nodes[y as usize].left = x;
-        self.nodes[x as usize].parent = y;
-        // x is now y's child: recompute bottom-up.
-        self.recompute_max(x);
-        self.recompute_max(y);
-    }
-
-    fn rotate_right(&mut self, x: u32) {
-        let y = self.nodes[x as usize].left;
-        debug_assert!(y != NIL);
-        let y_right = self.nodes[y as usize].right;
-        self.nodes[x as usize].left = y_right;
-        if y_right != NIL {
-            self.nodes[y_right as usize].parent = x;
-        }
-        let x_parent = self.nodes[x as usize].parent;
-        self.nodes[y as usize].parent = x_parent;
-        if x_parent == NIL {
-            self.root = y;
-        } else if self.nodes[x_parent as usize].right == x {
-            self.nodes[x_parent as usize].right = y;
-        } else {
-            self.nodes[x_parent as usize].left = y;
-        }
-        self.nodes[y as usize].right = x;
-        self.nodes[x as usize].parent = y;
-        self.recompute_max(x);
-        self.recompute_max(y);
-    }
-
-    fn color(&self, idx: u32) -> Color {
-        if idx == NIL {
-            Color::Black
-        } else {
-            self.nodes[idx as usize].color
-        }
-    }
-
-    fn insert_fixup(&mut self, mut z: u32) {
-        while self.color(self.nodes[z as usize].parent) == Color::Red {
-            let parent = self.nodes[z as usize].parent;
-            let grand = self.nodes[parent as usize].parent;
-            debug_assert!(grand != NIL, "red parent implies grandparent exists");
-            if parent == self.nodes[grand as usize].left {
-                let uncle = self.nodes[grand as usize].right;
-                if self.color(uncle) == Color::Red {
-                    self.nodes[parent as usize].color = Color::Black;
-                    self.nodes[uncle as usize].color = Color::Black;
-                    self.nodes[grand as usize].color = Color::Red;
-                    z = grand;
-                } else {
-                    if z == self.nodes[parent as usize].right {
-                        z = parent;
-                        self.rotate_left(z);
-                    }
-                    let parent = self.nodes[z as usize].parent;
-                    let grand = self.nodes[parent as usize].parent;
-                    self.nodes[parent as usize].color = Color::Black;
-                    self.nodes[grand as usize].color = Color::Red;
-                    self.rotate_right(grand);
-                }
-            } else {
-                let uncle = self.nodes[grand as usize].left;
-                if self.color(uncle) == Color::Red {
-                    self.nodes[parent as usize].color = Color::Black;
-                    self.nodes[uncle as usize].color = Color::Black;
-                    self.nodes[grand as usize].color = Color::Red;
-                    z = grand;
-                } else {
-                    if z == self.nodes[parent as usize].left {
-                        z = parent;
-                        self.rotate_right(z);
-                    }
-                    let parent = self.nodes[z as usize].parent;
-                    let grand = self.nodes[parent as usize].parent;
-                    self.nodes[parent as usize].color = Color::Black;
-                    self.nodes[grand as usize].color = Color::Red;
-                    self.rotate_left(grand);
-                }
-            }
-        }
-        let root = self.root;
-        self.nodes[root as usize].color = Color::Black;
-    }
-
-    fn minimum(&self, mut idx: u32) -> u32 {
-        while self.nodes[idx as usize].left != NIL {
-            idx = self.nodes[idx as usize].left;
-        }
-        idx
-    }
-
-    /// Replaces subtree rooted at `u` with subtree rooted at `v` (CLRS
-    /// `RB-TRANSPLANT`). `v` may be NIL; `fix_parent` is returned for the
-    /// delete fixup to track the "x" position's parent when x is NIL.
-    fn transplant(&mut self, u: u32, v: u32) {
-        let u_parent = self.nodes[u as usize].parent;
-        if u_parent == NIL {
-            self.root = v;
-        } else if self.nodes[u_parent as usize].left == u {
-            self.nodes[u_parent as usize].left = v;
-        } else {
-            self.nodes[u_parent as usize].right = v;
-        }
-        if v != NIL {
-            self.nodes[v as usize].parent = u_parent;
-        }
-    }
-
-    fn delete_node(&mut self, z: u32) {
-        let mut y = z;
-        let mut y_original_color = self.nodes[y as usize].color;
-        // x is the node moving into y's old slot (possibly NIL); we track
-        // its parent explicitly because NIL carries no parent pointer.
-        let x: u32;
-        let x_parent: u32;
-        if self.nodes[z as usize].left == NIL {
-            x = self.nodes[z as usize].right;
-            x_parent = self.nodes[z as usize].parent;
-            self.transplant(z, x);
-        } else if self.nodes[z as usize].right == NIL {
-            x = self.nodes[z as usize].left;
-            x_parent = self.nodes[z as usize].parent;
-            self.transplant(z, x);
-        } else {
-            y = self.minimum(self.nodes[z as usize].right);
-            y_original_color = self.nodes[y as usize].color;
-            x = self.nodes[y as usize].right;
-            if self.nodes[y as usize].parent == z {
-                x_parent = y;
-            } else {
-                x_parent = self.nodes[y as usize].parent;
-                self.transplant(y, x);
-                let z_right = self.nodes[z as usize].right;
-                self.nodes[y as usize].right = z_right;
-                self.nodes[z_right as usize].parent = y;
-            }
-            self.transplant(z, y);
-            let z_left = self.nodes[z as usize].left;
-            self.nodes[y as usize].left = z_left;
-            self.nodes[z_left as usize].parent = y;
-            self.nodes[y as usize].color = self.nodes[z as usize].color;
-        }
-        // Repair max_end from the deepest structural change upward.
-        if x_parent != NIL {
-            self.fix_max_up(x_parent);
-        } else if self.root != NIL {
-            self.fix_max_up(self.root);
-        }
-        if y_original_color == Color::Black {
-            self.delete_fixup(x, x_parent);
-        }
-    }
-
-    fn delete_fixup(&mut self, mut x: u32, mut x_parent: u32) {
-        while x != self.root && self.color(x) == Color::Black {
-            if x_parent == NIL {
-                break;
-            }
-            if x == self.nodes[x_parent as usize].left {
-                let mut w = self.nodes[x_parent as usize].right;
-                if self.color(w) == Color::Red {
-                    self.nodes[w as usize].color = Color::Black;
-                    self.nodes[x_parent as usize].color = Color::Red;
-                    self.rotate_left(x_parent);
-                    w = self.nodes[x_parent as usize].right;
-                }
-                let w_left = if w == NIL { NIL } else { self.nodes[w as usize].left };
-                let w_right = if w == NIL { NIL } else { self.nodes[w as usize].right };
-                if self.color(w_left) == Color::Black && self.color(w_right) == Color::Black {
-                    if w != NIL {
-                        self.nodes[w as usize].color = Color::Red;
-                    }
-                    x = x_parent;
-                    x_parent = self.nodes[x as usize].parent;
-                } else {
-                    if self.color(w_right) == Color::Black {
-                        if w_left != NIL {
-                            self.nodes[w_left as usize].color = Color::Black;
-                        }
-                        if w != NIL {
-                            self.nodes[w as usize].color = Color::Red;
-                            self.rotate_right(w);
-                        }
-                        let w2 = self.nodes[x_parent as usize].right;
-                        self.finish_delete_left(x_parent, w2);
-                    } else {
-                        self.finish_delete_left(x_parent, w);
-                    }
-                    x = self.root;
-                    x_parent = NIL;
-                }
-            } else {
-                let mut w = self.nodes[x_parent as usize].left;
-                if self.color(w) == Color::Red {
-                    self.nodes[w as usize].color = Color::Black;
-                    self.nodes[x_parent as usize].color = Color::Red;
-                    self.rotate_right(x_parent);
-                    w = self.nodes[x_parent as usize].left;
-                }
-                let w_left = if w == NIL { NIL } else { self.nodes[w as usize].left };
-                let w_right = if w == NIL { NIL } else { self.nodes[w as usize].right };
-                if self.color(w_left) == Color::Black && self.color(w_right) == Color::Black {
-                    if w != NIL {
-                        self.nodes[w as usize].color = Color::Red;
-                    }
-                    x = x_parent;
-                    x_parent = self.nodes[x as usize].parent;
-                } else {
-                    if self.color(w_left) == Color::Black {
-                        if w_right != NIL {
-                            self.nodes[w_right as usize].color = Color::Black;
-                        }
-                        if w != NIL {
-                            self.nodes[w as usize].color = Color::Red;
-                            self.rotate_left(w);
-                        }
-                        let w2 = self.nodes[x_parent as usize].left;
-                        self.finish_delete_right(x_parent, w2);
-                    } else {
-                        self.finish_delete_right(x_parent, w);
-                    }
-                    x = self.root;
-                    x_parent = NIL;
-                }
-            }
-        }
-        if x != NIL {
-            self.nodes[x as usize].color = Color::Black;
-        }
-    }
-
-    fn finish_delete_left(&mut self, x_parent: u32, w: u32) {
-        if w != NIL {
-            self.nodes[w as usize].color = self.nodes[x_parent as usize].color;
-            let w_right = self.nodes[w as usize].right;
-            if w_right != NIL {
-                self.nodes[w_right as usize].color = Color::Black;
-            }
-        }
-        self.nodes[x_parent as usize].color = Color::Black;
-        self.rotate_left(x_parent);
-    }
-
-    fn finish_delete_right(&mut self, x_parent: u32, w: u32) {
-        if w != NIL {
-            self.nodes[w as usize].color = self.nodes[x_parent as usize].color;
-            let w_left = self.nodes[w as usize].left;
-            if w_left != NIL {
-                self.nodes[w_left as usize].color = Color::Black;
-            }
-        }
-        self.nodes[x_parent as usize].color = Color::Black;
-        self.rotate_right(x_parent);
-    }
-
     // ---- invariant checking (test support) -------------------------------
 
-    /// Verifies the red-black and augmentation invariants; panics with a
-    /// description on violation. Exposed (not `cfg(test)`) so integration
-    /// and property tests in dependent crates can call it.
+    /// Verifies BST order, the `max_end` augmentation, the cached
+    /// fingerprints and the balance bound; panics with a description on
+    /// violation. Exposed (not `cfg(test)`) so integration and property
+    /// tests in dependent crates can call it.
     pub fn assert_invariants(&self) {
-        if self.root == NIL {
-            assert_eq!(self.len, 0, "empty tree with non-zero len");
-            return;
+        for (i, w) in self.nodes.windows(2).enumerate() {
+            assert!(w[0].interval.begin() <= w[1].interval.begin(), "BST order at {i}");
         }
-        assert_eq!(self.nodes[self.root as usize].parent, NIL, "root has a parent");
-        assert_eq!(self.color(self.root), Color::Black, "root must be black");
-        let (black_height, count, _min, _max) = self.check_rec(self.root);
-        let _ = black_height;
-        assert_eq!(count, self.len, "node count mismatch");
+        for (i, node) in self.nodes.iter().enumerate() {
+            assert_eq!(node.fp, Fingerprint::of(&node.interval).pack(), "fingerprint stale at {i}");
+        }
+        self.check_max(0, self.nodes.len());
+        let bound = (usize::BITS - self.nodes.len().leading_zeros()) as usize;
+        assert!(self.height() <= bound, "height {} exceeds ⌈log₂(n+1)⌉ = {bound}", self.height());
     }
 
-    fn check_rec(&self, idx: u32) -> (usize, usize, u64, u64) {
-        if idx == NIL {
-            return (1, 0, u64::MAX, 0);
+    fn check_max(&self, lo: usize, hi: usize) -> u64 {
+        if lo >= hi {
+            return 0;
         }
-        let node = &self.nodes[idx as usize];
-        if node.color == Color::Red {
-            assert_eq!(self.color(node.left), Color::Black, "red-red violation (left)");
-            assert_eq!(self.color(node.right), Color::Black, "red-red violation (right)");
-        }
-        if node.left != NIL {
-            assert_eq!(self.nodes[node.left as usize].parent, idx, "left parent link");
-            assert!(
-                self.nodes[node.left as usize].interval.begin() <= node.interval.begin(),
-                "BST order (left)"
-            );
-        }
-        if node.right != NIL {
-            assert_eq!(self.nodes[node.right as usize].parent, idx, "right parent link");
-            assert!(
-                self.nodes[node.right as usize].interval.begin() >= node.interval.begin(),
-                "BST order (right)"
-            );
-        }
-        let (lb, lc, _lmin, lmax) = self.check_rec(node.left);
-        let (rb, rc, _rmin, rmax) = self.check_rec(node.right);
-        assert_eq!(lb, rb, "black height mismatch");
-        let expect_max = node.interval.end().max(lmax).max(rmax);
-        assert_eq!(node.max_end, expect_max, "max_end augmentation stale at {idx}");
-        assert_eq!(node.fp, Fingerprint::of(&node.interval).pack(), "fingerprint stale at {idx}");
-        let black = lb + usize::from(node.color == Color::Black);
-        (black, lc + rc + 1, 0, expect_max)
+        let m = mid(lo, hi);
+        let expect =
+            self.nodes[m].interval.end().max(self.check_max(lo, m)).max(self.check_max(m + 1, hi));
+        assert_eq!(self.nodes[m].max_end, expect, "max_end augmentation stale at {m}");
+        expect
     }
 
-    /// Height of the tree (test support; ~2·log₂(n) for a valid RB tree).
+    /// Height of the implicit tree (test support).
     pub fn height(&self) -> usize {
-        fn rec<V>(t: &IntervalTree<V>, idx: u32) -> usize {
-            if idx == NIL {
+        fn rec(lo: usize, hi: usize) -> usize {
+            if lo >= hi {
                 0
             } else {
-                1 + rec(t, t.nodes[idx as usize].left).max(rec(t, t.nodes[idx as usize].right))
+                let m = mid(lo, hi);
+                1 + rec(lo, m).max(rec(m + 1, hi))
             }
         }
-        rec(self, self.root)
+        rec(0, self.nodes.len())
     }
 }
 
-/// In-order iterator over an [`IntervalTree`].
-pub struct InorderIter<'a, V> {
-    tree: &'a IntervalTree<V>,
-    stack: Vec<u32>,
-    cur: u32,
-}
-
-impl<'a, V> Iterator for InorderIter<'a, V> {
-    type Item = (NodeRef, &'a StridedInterval, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.cur != NIL {
-            self.stack.push(self.cur);
-            self.cur = self.tree.nodes[self.cur as usize].left;
-        }
-        let idx = self.stack.pop()?;
-        self.cur = self.tree.nodes[idx as usize].right;
-        let node = &self.tree.nodes[idx as usize];
-        Some((NodeRef(idx), &node.interval, &node.value))
+impl<V> Node<V> {
+    /// A node awaiting [`IntervalTree::from_staged`], `pos`-th in staging
+    /// order. Until layout, `max_end` holds `pos` and `fp` is unset.
+    pub(crate) fn staged(interval: StridedInterval, value: V, pos: usize) -> Self {
+        Node { interval, value, max_end: pos as u64, fp: 0 }
     }
 }

@@ -75,16 +75,14 @@ impl SiteCounters {
         &mut self.slots[i]
     }
 
-    /// Credits one candidate pair between the two sites, whose summarized
-    /// nodes cover `n_a`/`n_b` accesses.
+    /// Credits `site` with `pairs` candidate pairs of one summarized node
+    /// covering `n` accesses (each pair scans the node once). A pair
+    /// credits each of its two sides.
     #[inline]
-    pub fn candidate(&mut self, a: SiteId, n_a: u64, b: SiteId, n_b: u64) {
-        let sa = self.slot(a);
-        sa.scanned += n_a;
-        sa.pairs += 1;
-        let sb = self.slot(b);
-        sb.scanned += n_b;
-        sb.pairs += 1;
+    pub fn candidates(&mut self, site: SiteId, n: u64, pairs: u64) {
+        let s = self.slot(site);
+        s.scanned += n * pairs;
+        s.pairs += pairs;
     }
 
     /// Credits `n` scanned accesses to `site`.

@@ -60,22 +60,17 @@ impl BiTree {
         self.tree.len()
     }
 
-    /// Approximate heap footprint of this summary tree, charged to the
-    /// analyzer's memory gauge while the tree is held (the Figure 6–8
-    /// offline-memory rows). An estimate — the interval tree's exact
-    /// allocation layout is private — counting per node the strided
-    /// interval, its metadata, and red-black bookkeeping (two child
-    /// links, parent, color word), plus the interned mutex sets.
+    /// Heap footprint of this summary tree, charged to the analyzer's
+    /// memory gauge while the tree is held (the Figure 6–8 offline-memory
+    /// rows): the tree's node arena, exactly as allocated, plus the
+    /// interned mutex sets.
     pub fn approx_bytes(&self) -> u64 {
-        let per_node = std::mem::size_of::<sword_itree::StridedInterval>()
-            + std::mem::size_of::<AccessMeta>()
-            + 4 * std::mem::size_of::<usize>();
         let sets: usize = self
             .mutex_sets
             .iter()
             .map(|s| std::mem::size_of::<Vec<MutexId>>() + s.len() * std::mem::size_of::<MutexId>())
             .sum();
-        (self.node_count() * per_node + sets) as u64
+        (self.tree.arena_bytes() + sets) as u64
     }
 
     /// `true` when the two metadata records can race access-wise: at

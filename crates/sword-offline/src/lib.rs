@@ -15,8 +15,11 @@
 //!    region pairs are skipped wholesale ([`intervals`]).
 //! 3. **Stream** each interval's events out of the compressed log in
 //!    chunks (never materializing a log in memory) and summarize them
-//!    into an augmented red-black interval tree of strided intervals with
-//!    access metadata — operation, size, PC, held-mutex set ([`build`]).
+//!    into a build-once interval tree of strided intervals with access
+//!    metadata — operation, size, PC, held-mutex set ([`build`]). Nodes
+//!    are staged during the fold and sorted once into an implicitly
+//!    balanced, `max_end`-augmented tree; the paper's incremental
+//!    red-black tree yields the same in-order sequence.
 //! 4. **Compare** trees of concurrent intervals: coarse range overlap via
 //!    the tree's `max_end` augmentation, then the exact strided-overlap
 //!    constraint (Diophantine solve, or the branch-and-bound ILP that

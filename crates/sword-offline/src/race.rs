@@ -4,7 +4,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
-use sword_itree::for_each_candidate_pair_fp;
 use sword_obs::{Histogram, SiteCounters};
 use sword_osl::explain_concurrency;
 use sword_solver::{congruence_admissible, OverlapWitness, StridedInterval, Tier};
@@ -419,33 +418,57 @@ pub fn check_pair(
         }
     }
     let mut pending: Vec<PendingSolve> = Vec::new();
-    for_each_candidate_pair_fp(&a.tree, &b.tree, |ia, fa, ma, ib, fb, mb| {
-        stats.candidates += 1;
+    // The candidate walk of `for_each_candidate_pair_fp`, unrolled so
+    // per-site attribution is credited per node, not per pair: each `a`
+    // node after its overlap walk, each `b` node after the whole walk from
+    // a hit count. Crediting both sites of every pair cost ~10% of a walk
+    // whose pairs are mostly pre-screened.
+    let mut b_hits: Vec<u64> = if sites.is_some() { vec![0; b.tree.len()] } else { Vec::new() };
+    for (ha, ia, ma) in a.tree.iter() {
+        let fa = a.tree.fingerprint(ha);
+        let before = stats.candidates;
+        b.tree.for_each_range_overlap(ia.begin(), ia.end(), |hb, ib, mb| {
+            let fb = b.tree.fingerprint(hb);
+            stats.candidates += 1;
+            if let Some(h) = b_hits.get_mut(hb.index()) {
+                *h += 1;
+            }
+            if !a.can_race(ma, b, mb) {
+                return;
+            }
+            // Fingerprint pre-screen: the congruence reject, run during the
+            // walk from the cached node fingerprints. Rejected pairs never
+            // reach the verdict cache — exactly the pairs the solver's
+            // GcdReject tier would refuse, so verdicts are unchanged.
+            if ctx.funnel.prescreen && !congruence_admissible(ia, fa, ib, fb) {
+                stats.prescreened += 1;
+                ctx.tiers.record(Tier::Prescreen);
+                return;
+            }
+            // Canonical side order: the solve and its witness must not
+            // depend on which tree was the caller's `a`.
+            let zero_is_a = side_key(ca, ia, ma) <= side_key(cb, ib, mb);
+            let p = if zero_is_a {
+                PendingSolve { i0: *ia, m0: *ma, i1: *ib, m1: *mb, zero_is_a }
+            } else {
+                PendingSolve { i0: *ib, m0: *mb, i1: *ia, m1: *ma, zero_is_a }
+            };
+            pending.push(p);
+        });
         if let Some(s) = sites.as_deref_mut() {
-            s.candidate(ma.pc, ia.len(), mb.pc, ib.len());
+            let hits = stats.candidates - before;
+            if hits > 0 {
+                s.candidates(ma.pc, ia.len(), hits);
+            }
         }
-        if !a.can_race(ma, b, mb) {
-            return;
+    }
+    if let Some(s) = sites.as_deref_mut() {
+        for ((_, ib, mb), &hits) in b.tree.iter().zip(&b_hits) {
+            if hits > 0 {
+                s.candidates(mb.pc, ib.len(), hits);
+            }
         }
-        // Fingerprint pre-screen: the congruence reject, run during the
-        // walk from the cached node fingerprints. Rejected pairs never
-        // reach the verdict cache — exactly the pairs the solver's
-        // GcdReject tier would refuse, so verdicts are unchanged.
-        if ctx.funnel.prescreen && !congruence_admissible(ia, fa, ib, fb) {
-            stats.prescreened += 1;
-            ctx.tiers.record(Tier::Prescreen);
-            return;
-        }
-        // Canonical side order: the solve and its witness must not
-        // depend on which tree was the caller's `a`.
-        let zero_is_a = side_key(ca, ia, ma) <= side_key(cb, ib, mb);
-        let p = if zero_is_a {
-            PendingSolve { i0: *ia, m0: *ma, i1: *ib, m1: *mb, zero_is_a }
-        } else {
-            PendingSolve { i0: *ib, m0: *mb, i1: *ia, m1: *ma, zero_is_a }
-        };
-        pending.push(p);
-    });
+    }
     // Batched compare: group the surviving pairs by stride class so the
     // tier dispatch in the solve loop is branch-predictable. The sort is
     // result-neutral — race dedup ranks are order-independent.
@@ -548,13 +571,9 @@ mod tests {
     use sword_trace::MetaRecord;
 
     fn tree_of(tid: ThreadId, nodes: &[(StridedInterval, AccessMeta)]) -> BiTree {
-        let mut tree = IntervalTree::new();
-        for (iv, m) in nodes {
-            tree.insert(*iv, *m);
-        }
         BiTree {
             tid,
-            tree,
+            tree: IntervalTree::bulk_load(nodes.to_vec()),
             mutex_sets: vec![vec![], vec![7]],
             accesses: nodes.len() as u64,
             bytes_read: 0,
@@ -726,6 +745,62 @@ mod tests {
         assert_eq!(pc1.solver_calls, 1);
         assert_eq!(pc1.races, 1);
         assert_eq!(pc1, pc2, "both sides credited symmetrically");
+    }
+
+    #[test]
+    fn site_credits_match_per_pair_bruteforce() {
+        // Several nodes per side, sites shared within and across sides:
+        // the per-node bulk credits must equal crediting both sites of
+        // every overlapping pair one by one.
+        let node =
+            |base, count, kind, pc| (StridedInterval::new(base, 8, count, 8), meta(kind, pc, 0));
+        let a = tree_of(
+            0,
+            &[
+                node(0x100, 9, AccessKind::Write, 1),
+                node(0x120, 3, AccessKind::Read, 2),
+                node(0x400, 0, AccessKind::Write, 1),
+                node(0x140, 20, AccessKind::Write, 3),
+            ],
+        );
+        let b = tree_of(
+            1,
+            &[
+                node(0x108, 4, AccessKind::Read, 1),
+                node(0x130, 1, AccessKind::Write, 4),
+                node(0x100, 40, AccessKind::Read, 2),
+            ],
+        );
+        let mut expect: std::collections::BTreeMap<PcId, (u64, u64)> = Default::default();
+        for (_, ia, ma) in a.tree.iter() {
+            for (_, ib, mb) in b.tree.iter() {
+                if ia.begin() < ib.end() && ib.begin() < ia.end() {
+                    for (pc, n) in [(ma.pc, ia.len()), (mb.pc, ib.len())] {
+                        let e = expect.entry(pc).or_default();
+                        e.0 += n;
+                        e.1 += 1;
+                    }
+                }
+            }
+        }
+        let mut sites = SiteCounters::new();
+        run_pair(
+            &a,
+            &ctx_of(0),
+            &b,
+            &ctx_of(1),
+            SolverChoice::Diophantine,
+            FunnelConfig::ALL,
+            &VerdictCache::disabled(),
+            &mut RaceSet::new(),
+            None,
+            Some(&mut sites),
+        );
+        let table = sword_obs::SiteTable::new();
+        table.absorb(sites);
+        let got: std::collections::BTreeMap<PcId, (u64, u64)> =
+            table.snapshot().iter().map(|(pc, st)| (*pc, (st.scanned, st.pairs))).collect();
+        assert_eq!(got, expect);
     }
 
     #[test]

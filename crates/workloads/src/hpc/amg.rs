@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use sword_ompsim::{Ctx, OmpSim, Sequencer, TrackedBuf};
 
-use crate::drb::{turns, Kernel};
-use crate::{RunConfig, Suite, WorkloadSpec};
+use crate::drb::turns;
+use crate::{RunConfig, Suite, Workload, WorkloadSpec};
 
 /// Problem sizes used by the paper: grid edge lengths 10, 20, 30, 40.
 pub const AMG_SIZES: [u64; 4] = [10, 20, 30, 40];
@@ -50,27 +50,39 @@ pub fn amg_baseline_bytes(n: u64) -> u64 {
     ARRAYS * POINT_ELEMS * 8 * n * n * n
 }
 
-/// Builds the AMG workload at grid size `n` (one of [`AMG_SIZES`] in the
-/// paper's sweeps; any `n ≥ 2` works).
-pub fn amg_workload(n: u64) -> Kernel {
-    let (name, run): (&'static str, fn(&OmpSim, &RunConfig)) = match n {
-        10 => ("AMG2013_10", |sim, cfg| {
-            run_amg(sim, cfg, 10);
-        }),
-        20 => ("AMG2013_20", |sim, cfg| {
-            run_amg(sim, cfg, 20);
-        }),
-        30 => ("AMG2013_30", |sim, cfg| {
-            run_amg(sim, cfg, 30);
-        }),
-        40 => ("AMG2013_40", |sim, cfg| {
-            run_amg(sim, cfg, 40);
-        }),
-        _ => ("AMG2013", |sim, cfg| {
-            run_amg(sim, cfg, cfg.size_or(10));
-        }),
+/// The AMG workload: a fixed grid for the named sizes of the paper's
+/// sweeps, or the grid given by [`RunConfig::size`] (default 10).
+pub struct Amg {
+    spec: WorkloadSpec,
+    grid: Option<u64>,
+}
+
+impl Workload for Amg {
+    fn spec(&self) -> WorkloadSpec {
+        self.spec.clone()
+    }
+
+    fn execute(&self, sim: &OmpSim, cfg: &RunConfig) {
+        run_amg(sim, cfg, self.grid.unwrap_or(cfg.size_or(10)));
+    }
+
+    fn takes_size(&self) -> bool {
+        self.grid.is_none()
+    }
+}
+
+/// Builds the AMG workload at grid size `n`: `AMG2013_<n>` with that
+/// grid fixed for `n` in [`AMG_SIZES`], otherwise `AMG2013`, sized by
+/// [`RunConfig::size`].
+pub fn amg_workload(n: u64) -> Amg {
+    let (name, grid) = match n {
+        10 => ("AMG2013_10", Some(10)),
+        20 => ("AMG2013_20", Some(20)),
+        30 => ("AMG2013_30", Some(30)),
+        40 => ("AMG2013_40", Some(40)),
+        _ => ("AMG2013", None),
     };
-    Kernel {
+    Amg {
         spec: WorkloadSpec {
             name,
             suite: Suite::Hpc,
@@ -81,7 +93,7 @@ pub fn amg_workload(n: u64) -> Kernel {
                     visible to HB tools + 10 eviction-hidden read-write \
                     races in the large solve region",
         },
-        run,
+        grid,
     }
 }
 

@@ -105,6 +105,13 @@ pub trait Workload: Sync + Send {
     /// Executes the kernel under `sim` (the caller attaches the detector
     /// of interest — or none, for baseline timing).
     fn execute(&self, sim: &OmpSim, cfg: &RunConfig);
+
+    /// `false` when the workload's input size is fixed, so a caller-given
+    /// [`RunConfig::size`] would be silently ignored; front ends reject
+    /// a size for such workloads.
+    fn takes_size(&self) -> bool {
+        true
+    }
 }
 
 /// All DataRaceBench-like workloads, in suite order.

@@ -45,7 +45,7 @@
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`osl`] | `sword-osl` | offset-span labels (§II) |
-//! | [`itree`] | `sword-itree` | augmented red-black interval trees (§III-B) |
+//! | [`itree`] | `sword-itree` | build-once static interval trees (§III-B) |
 //! | [`solver`] | `sword-solver` | strided-overlap constraint solving (§III-B) |
 //! | [`compress`] | `sword-compress` | LZ block compression for logs (§III-A) |
 //! | [`trace`] | `sword-trace` | event encoding, log + meta-data files (§III-A) |

@@ -1,18 +1,20 @@
 //! Per-site attribution must stay in the compare stage's noise floor:
-//! attaching a [`SiteTable`] to the offline analysis adds two dense-Vec
-//! index-and-add credits per candidate pair in an otherwise lock-free
-//! worker accumulator, and this test pins that at <5% of compare-stage
-//! time in optimized builds (CI runs it under `--release`; see ci.yml).
-//! Debug codegen doesn't inline the accumulator, so unoptimized builds
-//! only get a coarse did-not-regress bound.
+//! attaching a [`SiteTable`] to the offline analysis adds one hit count
+//! per candidate pair and one dense-Vec credit per compared tree node,
+//! in an otherwise lock-free worker accumulator, and this test pins that
+//! at <5% of compare-stage time in optimized builds (CI runs it under
+//! `--release`; see ci.yml). Debug codegen doesn't inline the
+//! accumulator, so unoptimized builds only get a coarse did-not-regress
+//! bound.
 //!
-//! Methodology mirrors `obs_overhead.rs` in `sword-runtime`, with one
-//! refinement: each round measures both configurations back-to-back and
-//! the assertion takes the *minimum ratio* across rounds. Machine noise
-//! (frequency scaling, background load) moves both sides of a round
-//! together, and the cleanest round upper-bounds the true overhead;
-//! comparing independent per-side bests instead lets one lucky baseline
-//! sample fail the test on a machine whose noise floor exceeds 5%.
+//! Methodology: each of `ROUNDS` rounds measures both configurations
+//! back to back, alternating which goes first so neither side always
+//! inherits the other's warm caches, and each side of a round sums
+//! `REPS` analyses so one leg outlasts scheduler and frequency noise. The
+//! assertion takes the *median* of the per-round ratios: machine noise
+//! moves both sides of a round together, and the median of many paired
+//! rounds estimates the true overhead instead of rewarding one lucky
+//! round.
 
 use std::path::PathBuf;
 
@@ -25,7 +27,11 @@ use sword::trace::SessionDir;
 const THREADS: usize = 4;
 const SITES: u32 = 96;
 const INTERVALS: u64 = 4;
-const ROUNDS: usize = 5;
+/// Paired rounds; each measures both legs, in alternating order.
+const ROUNDS: usize = 15;
+/// Analyses summed into one leg, so a leg outlasts scheduler and
+/// frequency noise instead of lasting a few milliseconds.
+const REPS: usize = 6;
 
 /// Collects a compare-heavy session: in every barrier interval each
 /// thread sweeps the whole shared buffer tid-strided once per site, so
@@ -77,20 +83,29 @@ fn site_attribution_overhead_within_five_percent() {
     compare_secs(&session, false);
     compare_secs(&session, true);
 
+    let leg = |attribute: bool| -> f64 {
+        (0..REPS).map(|_| compare_secs(&session, attribute)).sum::<f64>()
+    };
     let mut ratios = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        let plain = compare_secs(&session, false);
-        let attr = compare_secs(&session, true);
+    for round in 0..ROUNDS {
+        let (plain, attr) = if round % 2 == 0 {
+            let plain = leg(false);
+            (plain, leg(true))
+        } else {
+            let attr = leg(true);
+            (leg(false), attr)
+        };
         ratios.push(attr / plain);
     }
     std::fs::remove_dir_all(&dir).ok();
-    let best = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ROUNDS / 2];
     let margin = if cfg!(debug_assertions) { 1.30 } else { 1.05 };
     assert!(
-        best <= margin,
+        median <= margin,
         "per-site attribution overhead {:.1}% exceeds {:.0}% of compare-stage \
-         time in every round (ratios {ratios:?})",
-        (best - 1.0) * 100.0,
+         time in the median round (sorted ratios {ratios:?})",
+        (median - 1.0) * 100.0,
         (margin - 1.0) * 100.0
     );
 }

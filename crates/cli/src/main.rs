@@ -59,6 +59,7 @@
 //! `AMG2013_<n>` variants), which would otherwise ignore it silently.
 
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -76,6 +77,36 @@ use sword_ompsim::{OmpSim, SimConfig};
 use sword_runtime::{run_collected, SwordConfig};
 use sword_trace::{PcTable, ReadMode, SessionDir};
 use sword_workloads::{all_workloads, find_workload, RunConfig, Workload};
+
+/// Writes to standard output. A reader that went away (`sword list |
+/// head -2`) ends the process quietly with status 0, as a closed pipe
+/// ends any Unix filter; `println!` would panic instead.
+fn emit(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing standard output: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -167,7 +198,7 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err("missing command".into());
     };
     if cmd == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return Ok(());
     }
     match cmd.as_str() {
@@ -214,7 +245,7 @@ fn cmd_list() -> Result<(), String> {
             s.notes.chars().take(60).collect(),
         ]);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
     Ok(())
 }
 
@@ -243,7 +274,7 @@ fn append_journal(session: &SessionDir, obs: &Obs) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     let mut dropped = 0u64;
     sink.drain_from(&obs.journal, &mut dropped).map_err(|e| e.to_string())?;
-    println!("observability journal: {}", path.display());
+    outln!("observability journal: {}", path.display());
     Ok(())
 }
 
@@ -260,7 +291,7 @@ fn start_listener(
     };
     let server = TelemetryServer::start(ServerConfig::bind(addr), handles)
         .map_err(|e| format!("--listen {addr}: {e}"))?;
-    println!(
+    outln!(
         "telemetry: http://{0}/status  (also /metrics /races /healthz /events; try `sword top {0}`)",
         server.local_addr()
     );
@@ -321,35 +352,35 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         w.execute(sim, &cfg);
     })
     .map_err(|e| e.to_string())?;
-    println!("collected {} in {:.2}s", w.spec().name, sw.secs());
-    println!("  session:           {}", session.display());
-    println!("  threads:           {}", stats.threads);
-    println!("  parallel regions:  {}", stats.regions);
-    println!("  barrier intervals: {}", stats.barrier_intervals);
-    println!("  events:            {}", stats.events);
-    println!(
+    outln!("collected {} in {:.2}s", w.spec().name, sw.secs());
+    outln!("  session:           {}", session.display());
+    outln!("  threads:           {}", stats.threads);
+    outln!("  parallel regions:  {}", stats.regions);
+    outln!("  barrier intervals: {}", stats.barrier_intervals);
+    outln!("  events:            {}", stats.events);
+    outln!(
         "  log volume:        {} raw -> {} on disk ({:.1}x)",
         format_bytes(stats.raw_bytes),
         format_bytes(stats.compressed_bytes),
         stats.compression_ratio()
     );
-    println!("  bounded tool mem:  {}", format_bytes(stats.tool_memory_bytes));
+    outln!("  bounded tool mem:  {}", format_bytes(stats.tool_memory_bytes));
     if let Some(o) = &obs {
         if flags.has("stats") {
-            println!("\n{}", render_registry(o));
+            outln!("\n{}", render_registry(o));
         }
         if flags.has("obs") {
             // The collector's final drain ran at program end, before the
             // CLI workload span closed — append the leftover ring
             // contents (and a post-run snapshot) to the journal.
             append_journal(&SessionDir::new(&session), o)?;
-            println!("next: sword trace export {0}  |  sword report {0}", session.display());
+            outln!("next: sword trace export {0}  |  sword report {0}", session.display());
         }
     }
     if let Some(server) = server {
         server.shutdown();
     }
-    println!("\nnext: sword analyze {}", session.display());
+    outln!("\nnext: sword analyze {}", session.display());
     Ok(())
 }
 
@@ -410,21 +441,21 @@ fn print_analysis(
     let result = analyze(session, config).map_err(|e| e.to_string())?;
     let pcs = read_pcs(session)?;
     if json {
-        print!("{}", sword_offline::render_json(&result, &pcs));
+        out!("{}", sword_offline::render_json(&result, &pcs));
     } else {
-        print!("{}", sword_offline::render_text(&result, &pcs));
+        out!("{}", sword_offline::render_text(&result, &pcs));
     }
     if stats {
-        println!("{}", result.stages.render());
+        outln!("{}", result.stages.render());
         // The collector leaves its flush-path counters in the session
         // info file; older sessions without them just skip the table.
         if let Some(flush) =
             session.read_info().ok().and_then(|info| sword_metrics::FlushSnapshot::from_info(&info))
         {
-            println!("{}", flush.render());
+            outln!("{}", flush.render());
         }
         if let Some(o) = &config.obs {
-            println!("{}", render_registry(o));
+            outln!("{}", render_registry(o));
         }
     }
     Ok(result)
@@ -570,7 +601,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
             }
         }
         if json {
-            println!(
+            outln!(
                 "{{\"poll\": {}, \"generation\": {}, \"new_intervals\": {}, \
                  \"new_regions\": {}, \"tree_pairs\": {}, \"new_races\": {}, \
                  \"total_races\": {}, \"finished\": {}}}",
@@ -584,7 +615,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
                 delta.finished
             );
         } else if delta.new_intervals > 0 || delta.new_regions > 0 || delta.finished {
-            println!(
+            outln!(
                 "[watch {:6.1}s] +{} intervals, {} tree pairs, {} race(s) so far{}",
                 sw.secs(),
                 delta.new_intervals,
@@ -593,7 +624,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
                 if delta.finished { " — session finished" } else { "" }
             );
             for race in &delta.new_races {
-                println!("  NEW {}", race.render(live.pcs()));
+                outln!("  NEW {}", race.render(live.pcs()));
             }
         }
         if delta.finished {
@@ -606,7 +637,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     };
 
     if timed_out && !json {
-        println!(
+        outln!(
             "[watch] timeout after {:.1}s; session still in flight — partial results:",
             sw.secs()
         );
@@ -617,14 +648,14 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         st.publish(&o.registry, |pc| pcs.display(pc));
     }
     if json {
-        print!("{}", sword_offline::render_json(&result, &pcs));
+        out!("{}", sword_offline::render_json(&result, &pcs));
     } else {
-        print!("{}", sword_offline::render_text(&result, &pcs));
+        out!("{}", sword_offline::render_text(&result, &pcs));
     }
     if show_stats {
-        println!("{}", result.stages.render());
+        outln!("{}", result.stages.render());
         if let Some(o) = &obs {
-            println!("{}", render_registry(o));
+            outln!("{}", render_registry(o));
         }
     }
     if let Some(o) = &obs {
@@ -791,7 +822,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
             None => top_frame_http(target)?,
             Some(s) => top_frame_session(s)?,
         };
-        print!("{frame}");
+        out!("{frame}");
         if (iters > 0 && n >= iters) || (iters == 0 && finished) {
             break;
         }
@@ -833,8 +864,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         .map(PathBuf::from)
         .unwrap_or_else(|| session.path().join("trace.json"));
     sword_obs::write_chrome_trace(&out, &read.events).map_err(|e| e.to_string())?;
-    println!("exported {} journal event(s) to {}", read.events.len(), out.display());
-    println!("open in chrome://tracing or https://ui.perfetto.dev");
+    outln!("exported {} journal event(s) to {}", read.events.len(), out.display());
+    outln!("open in chrome://tracing or https://ui.perfetto.dev");
     Ok(())
 }
 
@@ -902,19 +933,19 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             .map(PathBuf::from)
             .unwrap_or_else(|| session.path().join("report.html"));
         std::fs::write(&out, render_html(&input)).map_err(|e| e.to_string())?;
-        println!("wrote HTML dashboard to {}", out.display());
+        outln!("wrote HTML dashboard to {}", out.display());
         return Ok(());
     }
-    print!("{}", sword_obs::render_report(&report));
+    out!("{}", sword_obs::render_report(&report));
     if let Some(result) = &analysis {
         if result.races.is_empty() {
-            println!("data races: none detected");
+            outln!("data races: none detected");
         } else {
-            println!("data races ({}):", result.races.len());
+            outln!("data races ({}):", result.races.len());
             for (id, race) in result.races.iter().enumerate() {
-                println!("  #{id}  {}", race.render(&pcs));
+                outln!("  #{id}  {}", race.render(&pcs));
             }
-            println!(
+            outln!(
                 "  (full evidence chains: sword explain {} <race-id>)",
                 session.path().display()
             );
@@ -939,7 +970,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let pcs = read_pcs(&session)?;
     match sword_offline::render_explain(&result, &pcs, id) {
         Some(text) => {
-            print!("{text}");
+            out!("{text}");
             Ok(())
         }
         None => Err(format!(
@@ -964,7 +995,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
             .len();
     let _ = std::fs::remove_dir_all(&session);
     let expected = w.spec().sword_races;
-    println!(
+    outln!(
         "\nground truth for {}: {} race(s) — {}",
         w.spec().name,
         expected,
@@ -1020,8 +1051,8 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         format_bytes(stats.tool_memory_bytes),
         result.races.len().to_string(),
     ]);
-    println!("application footprint: {}", format_bytes(footprint));
-    println!("{}", table.render());
+    outln!("application footprint: {}", format_bytes(footprint));
+    outln!("{}", table.render());
     Ok(())
 }
 
@@ -1043,7 +1074,7 @@ fn cmd_meta(args: &[String]) -> Result<(), String> {
             format!("{}", r.fork_label()),
         ]);
     }
-    println!("{}", regions.render());
+    outln!("{}", regions.render());
     for (tid, rows) in &loaded.threads {
         let mut t = Table::new(
             format!("thread_{tid}.meta (Table I)"),
@@ -1061,7 +1092,7 @@ fn cmd_meta(args: &[String]) -> Result<(), String> {
                 r.size.to_string(),
             ]);
         }
-        println!("{}", t.render());
+        outln!("{}", t.render());
     }
     Ok(())
 }
@@ -1082,7 +1113,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
         tasking: flags.has("tasking"),
         corpus_dir: flags.map.get("corpus").map(PathBuf::from),
     };
-    println!(
+    outln!(
         "fuzzing: {} iterations from seed {}, teams {:?}{}{}",
         opts.iters,
         opts.seed,
@@ -1097,7 +1128,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
     let every = (opts.iters / 10).max(25);
     let summary = run_fuzz(&opts, |i, so_far| {
         if (i + 1) % every == 0 {
-            println!(
+            outln!(
                 "  [{:5}/{}] {} racy, {} oracle pairs, {} failure(s), {:.1}s",
                 i + 1,
                 opts.iters,
@@ -1117,7 +1148,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             }
         }
     });
-    println!("{}", summary.render());
+    outln!("{}", summary.render());
     if let (Some(o), Some(j), Some(start)) = (&obs, &fuzz_journal, campaign_start) {
         let dur = j.now_us().saturating_sub(start);
         j.span_closed(
@@ -1137,7 +1168,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
         let mut sink = JournalSink::create(&out).map_err(|e| e.to_string())?;
         let mut dropped = 0u64;
         sink.drain_from(&o.journal, &mut dropped).map_err(|e| e.to_string())?;
-        println!("observability journal: {}", out.display());
+        outln!("observability journal: {}", out.display());
     }
     if summary.failures.is_empty() {
         Ok(())

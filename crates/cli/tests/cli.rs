@@ -1,7 +1,8 @@
 //! Command-line behaviour of the `sword` binary: help requests and flag
 //! validation, checked on the built executable's exit status and output.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn sword(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sword")).args(args).output().expect("sword binary runs")
@@ -30,6 +31,32 @@ fn help_requests_print_usage_and_succeed() {
         assert!(out.status.success(), "{args:?} exits 0; stderr: {}", stderr(&out));
         assert!(stdout(&out).starts_with("usage:"), "{args:?} prints usage: {}", stdout(&out));
         assert!(stderr(&out).is_empty(), "{args:?} writes no error: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // The reader goes away after the first line (`sword list | head -1`),
+    // and, deterministically, before the first write.
+    for lines_read in [1, 0] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sword"))
+            .arg("list")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sword binary runs");
+        let pipe = child.stdout.take().expect("piped stdout");
+        if lines_read == 1 {
+            let mut reader = BufReader::new(pipe);
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("first line");
+            assert!(!line.is_empty(), "sword list prints at least one line");
+        } else {
+            drop(pipe);
+        }
+        let out = child.wait_with_output().expect("sword exits");
+        assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+        assert!(out.status.success(), "exit {:?}; stderr: {}", out.status, stderr(&out));
     }
 }
 

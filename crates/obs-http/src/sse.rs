@@ -63,7 +63,7 @@ pub fn stream_events(
             client.dropped_events.add(drops - reported_drops);
             reported_drops = drops;
         }
-        let frame = format!("event: journal\ndata: {}\n\n", event.to_json().render());
+        let frame = format!("event: journal\ndata: {}\n\n", event.to_json_line());
         stream.write_all(frame.as_bytes())?;
         stream.flush()?;
         written += frame.len();

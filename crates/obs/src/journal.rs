@@ -136,25 +136,48 @@ pub struct JournalEvent {
 
 impl JournalEvent {
     /// Serializes to one JSONL line (without the trailing newline).
-    pub fn to_json(&self) -> Value {
-        let mut pairs = vec![
-            ("t".to_string(), Value::Num(self.t_us as f64)),
-            ("layer".to_string(), Value::Str(self.layer.as_str().to_string())),
-            ("thread".to_string(), Value::Str(self.thread.clone())),
-            ("name".to_string(), Value::Str(self.name.clone())),
-        ];
+    pub fn to_json_line(&self) -> String {
+        let mut out = String::with_capacity(160);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends this event's JSONL line (without the trailing newline) to
+    /// `out`, writing the text directly rather than building a [`Value`]
+    /// tree first: the collector's final journal drain renders every
+    /// buffered event on the run's critical path.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"t\":");
+        json::render_num(self.t_us as f64, out);
+        out.push_str(",\"layer\":");
+        json::render_str(self.layer.as_str(), out);
+        out.push_str(",\"thread\":");
+        json::render_str(&self.thread, out);
+        out.push_str(",\"name\":");
+        json::render_str(&self.name, out);
         if let Some(dur) = self.dur_us {
-            pairs.push(("dur".to_string(), Value::Num(dur as f64)));
+            out.push_str(",\"dur\":");
+            json::render_num(dur as f64, out);
         }
         if !self.args.is_empty() {
-            let args = self.args.iter().map(|(k, v)| (k.clone(), Value::Num(*v))).collect();
-            pairs.push(("args".to_string(), Value::Obj(args)));
+            out.push_str(",\"args\":{");
+            for (i, (k, v)) in self.args.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::render_str(k, out);
+                out.push(':');
+                json::render_num(*v, out);
+            }
+            out.push('}');
         }
         if let Some((id, phase)) = self.flow {
-            pairs.push(("flow".to_string(), Value::Num(id as f64)));
-            pairs.push(("fph".to_string(), Value::Str(phase.as_str().to_string())));
+            out.push_str(",\"flow\":");
+            json::render_num(id as f64, out);
+            out.push_str(",\"fph\":");
+            json::render_str(phase.as_str(), out);
         }
-        Value::Obj(pairs)
+        out.push('}');
     }
 
     /// Parses one journal line.
@@ -549,10 +572,14 @@ impl JournalSink {
     /// Appends events as JSONL lines and flushes, so a crash loses at
     /// most the events still buffered in rings.
     pub fn write_events(&mut self, events: &[JournalEvent]) -> io::Result<()> {
+        // One reused line buffer: the file's own buffer batches the
+        // writes, and nothing sized to the whole drain is allocated.
+        let mut line = String::with_capacity(256);
         for event in events {
-            let line = event.to_json().render();
+            line.clear();
+            event.write_json(&mut line);
+            line.push('\n');
             self.file.write_all(line.as_bytes())?;
-            self.file.write_all(b"\n")?;
         }
         self.file.flush()
     }
@@ -675,13 +702,13 @@ mod tests {
             args: vec![("nodes".to_string(), 42.0)],
             flow: None,
         };
-        let line = event.to_json().render();
+        let line = event.to_json_line();
         let back = JournalEvent::from_json(&json::parse(&line).unwrap()).unwrap();
         assert_eq!(back, event);
 
         // Flow membership survives the round trip too.
         let flowed = JournalEvent { flow: Some((17, FlowPhase::Step)), ..event };
-        let line = flowed.to_json().render();
+        let line = flowed.to_json_line();
         let back = JournalEvent::from_json(&json::parse(&line).unwrap()).unwrap();
         assert_eq!(back, flowed);
     }
@@ -760,8 +787,7 @@ mod tests {
             args: vec![],
             flow: None,
         }
-        .to_json()
-        .render();
+        .to_json_line();
 
         // A journal whose process died mid-append: final line torn.
         let torn = dir.join("torn.jsonl");

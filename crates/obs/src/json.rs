@@ -138,7 +138,7 @@ impl From<String> for Value {
     }
 }
 
-fn render_num(n: f64, out: &mut String) {
+pub(crate) fn render_num(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 9.0e15 {
@@ -148,7 +148,7 @@ fn render_num(n: f64, out: &mut String) {
     }
 }
 
-fn render_str(s: &str, out: &mut String) {
+pub(crate) fn render_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -58,6 +58,8 @@ struct HistInner {
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
+    /// Smallest sample; `u64::MAX` while empty.
+    min: AtomicU64,
     max: AtomicU64,
 }
 
@@ -72,6 +74,7 @@ impl Default for Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }))
     }
@@ -81,20 +84,31 @@ impl Histogram {
     /// Records one sample.
     pub fn record(&self, v: u64) {
         let idx = ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1);
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
+        // The range goes first and the count last (release), so a reader
+        // that sees this sample counted also sees it in `min`/`max`.
+        self.0.min.fetch_min(v, Ordering::Relaxed);
         self.0.max.fetch_max(v, Ordering::Relaxed);
+        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.0.sum.fetch_add(v, Ordering::Relaxed);
+        self.0.count.fetch_add(1, Ordering::Release);
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.count.load(Ordering::Acquire)
     }
 
     /// Sum of samples.
     pub fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
+    }
+
+    /// Smallest sample, 0 when empty.
+    pub fn min(&self) -> u64 {
+        match self.0.min.load(Ordering::Relaxed) {
+            u64::MAX if self.count() == 0 => 0,
+            v => v,
+        }
     }
 
     /// Largest sample.
@@ -112,22 +126,30 @@ impl Histogram {
         }
     }
 
-    /// Approximate quantile (upper bound of the bucket containing it).
+    /// Approximate quantile: the upper bound of the bucket containing
+    /// it, clamped to the observed `[min, max]`, so a quantile never
+    /// reports a value outside what was recorded.
     pub fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
         }
+        let (min, max) = (self.min(), self.max());
         let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
         let mut seen = 0;
         for (i, bucket) in self.0.buckets.iter().enumerate() {
             seen += bucket.load(Ordering::Relaxed);
             if seen >= rank {
-                // Bucket i holds values in [2^(i-1), 2^i).
-                return 1u64 << i;
+                // Bucket i holds values in [2^(i-1), 2^i); the last one is
+                // unbounded above.
+                // Recorders run concurrently, so a reader can still see
+                // bucket counts a step ahead of `min`; `max` wins then
+                // (never `Ord::clamp`, which panics when min > max).
+                let upper = if i == HIST_BUCKETS - 1 { max } else { 1u64 << i };
+                return upper.max(min).min(max);
             }
         }
-        self.max()
+        max
     }
 
     fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
@@ -295,9 +317,10 @@ impl Registry {
                     let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", m.name, h.count());
                     let _ = writeln!(out, "{}_sum {}", m.name, h.sum());
                     let _ = writeln!(out, "{}_count {}", m.name, h.count());
-                    // Summary-style quantile lines (bucket upper bounds)
-                    // so scrape-side dashboards get tail latency without
-                    // needing histogram_quantile() over sparse buckets.
+                    // Summary-style quantile lines (bucket upper bounds
+                    // clamped to the observed range) so scrape-side
+                    // dashboards get tail latency without needing
+                    // histogram_quantile() over sparse buckets.
                     for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
                         let _ =
                             writeln!(out, "{}{{quantile=\"{}\"}} {}", m.name, label, h.quantile(q));
@@ -375,10 +398,69 @@ mod tests {
         assert!(text.contains("# TYPE c_nanos histogram"));
         assert!(text.contains("c_nanos_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("c_nanos_sum 3"));
-        assert!(text.contains("c_nanos{quantile=\"0.5\"} 4"));
-        assert!(text.contains("c_nanos{quantile=\"0.95\"} 4"));
-        assert!(text.contains("c_nanos{quantile=\"0.99\"} 4"));
+        // One sample of 3: every quantile is that sample, not the upper
+        // bound (4) of its log2 bucket.
+        assert!(text.contains("c_nanos{quantile=\"0.5\"} 3"));
+        assert!(text.contains("c_nanos{quantile=\"0.95\"} 3"));
+        assert!(text.contains("c_nanos{quantile=\"0.99\"} 3"));
         assert!(text.contains("d_ratio 1.5"));
+    }
+
+    #[test]
+    fn quantiles_stay_within_observed_min_and_max() {
+        let h = Histogram::default();
+        assert_eq!((h.min(), h.max(), h.quantile(0.5)), (0, 0, 0), "empty");
+        // The AMG2013 shape that once reported p50 = 4096 with max = 3931.
+        for v in [3100, 3500, 3931, 2200, 2900] {
+            h.record(v);
+        }
+        assert_eq!((h.min(), h.max()), (2200, 3931));
+        for i in 0..=100 {
+            let q = h.quantile(i as f64 / 100.0);
+            assert!((h.min()..=h.max()).contains(&q), "quantile({i}%) = {q} outside [min, max]");
+        }
+        // Spread over many octaves, including 0 and the overflow bucket.
+        let wide = Histogram::default();
+        for v in [0, 1, 7, 300, 65_537, 1 << 40, u64::MAX / 3] {
+            wide.record(v);
+        }
+        for i in 0..=100 {
+            let q = wide.quantile(i as f64 / 100.0);
+            assert!((wide.min()..=wide.max()).contains(&q), "quantile({i}%) = {q}");
+        }
+        assert_eq!(wide.quantile(1.0), u64::MAX / 3);
+    }
+
+    #[test]
+    fn quantile_of_a_half_recorded_sample_does_not_panic() {
+        // A reader that sees a sample's bucket and count before its
+        // min/max: min still u64::MAX, max still 0.
+        let h = Histogram::default();
+        h.0.buckets[3].fetch_add(1, Ordering::Relaxed);
+        h.0.count.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(h.quantile(0.5), 0);
+        // Min stored, max not yet.
+        h.0.min.store(5, Ordering::Relaxed);
+        assert_eq!(h.quantile(0.99), 0);
+    }
+
+    #[test]
+    fn quantiles_read_while_recording_stay_in_range() {
+        let h = Histogram::default();
+        std::thread::scope(|s| {
+            let writer = h.clone();
+            s.spawn(move || {
+                for v in 0..200_000u64 {
+                    writer.record(v.wrapping_mul(2_654_435_761) % 100_000 + 1);
+                }
+            });
+            for _ in 0..20_000 {
+                for q in [0.0, 0.5, 0.95, 1.0] {
+                    assert!(h.quantile(q) <= 100_000);
+                }
+            }
+        });
+        assert_eq!(h.count(), 200_000);
     }
 
     #[test]

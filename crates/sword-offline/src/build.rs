@@ -381,10 +381,24 @@ impl TreeCache {
         stats.nodes += tree.node_count() as u64;
         stats.events += tree.accesses;
         stats.bytes_read += tree.bytes_read;
+        self.insert(key, tree);
+        Ok(())
+    }
+
+    /// `true` when the tree keyed `key` is cached.
+    pub(crate) fn contains(&self, key: &(ThreadId, u64)) -> bool {
+        self.entries.contains_key(key)
+    }
+
+    /// Caches a tree built elsewhere (by another worker, for this one),
+    /// charging its bytes to the memory gauge. Charges no build counters:
+    /// the [`TreeCache::ensure`] that follows hits and charges them.
+    pub(crate) fn insert(&mut self, key: (ThreadId, u64), tree: BiTree) {
+        self.clock += 1;
         self.nodes_held += tree.node_count();
         self.mem.alloc(tree.approx_bytes());
-        self.entries.insert(key, CacheEntry { last_use: self.clock, tree });
-        Ok(())
+        let prev = self.entries.insert(key, CacheEntry { last_use: self.clock, tree });
+        debug_assert!(prev.is_none(), "a cached tree is never rebuilt");
     }
 
     /// Evicts least-recently-used trees until the node budget holds,

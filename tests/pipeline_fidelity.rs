@@ -186,3 +186,154 @@ fn offline_label_reconstruction_matches_runtime_labels() {
     assert_eq!(live, reconstructed, "offline labels must equal runtime labels");
     fs::remove_dir_all(&dir).unwrap();
 }
+
+// --- The build board: idle workers build trees for running tasks. ---
+
+/// Collects a named workload at 2 threads into a fresh session.
+fn collect_workload(tag: &str, name: &str, size: u64) -> PathBuf {
+    use sword::workloads::{find_workload, RunConfig};
+    let dir = tmp(tag);
+    let kernel = find_workload(name).expect("workload exists");
+    let cfg = RunConfig { threads: 2, size };
+    run_collected(SwordConfig::new(&dir), SimConfig::default(), |sim| kernel.execute(sim, &cfg))
+        .expect("collection");
+    dir
+}
+
+/// Everything an analysis reports that must not depend on the worker
+/// count: the races with their full `explain` evidence, the logical
+/// counters, and the tree-memory peak.
+fn worker_invariant_view(dir: &PathBuf, workers: usize) -> (Vec<String>, [u64; 7], u64) {
+    use sword::offline::render_explain;
+    use sword::trace::PcTable;
+    let session = SessionDir::new(dir);
+    let config = AnalysisConfig::default().with_workers(workers);
+    let result = analyze(&session, &config).expect("analysis succeeds");
+    let pcs =
+        PcTable::read_from(BufReader::new(fs::File::open(session.pcs_path()).unwrap())).unwrap();
+    let explained = (0..result.races.len())
+        .map(|id| render_explain(&result, &pcs, id).expect("race id in range"))
+        .collect();
+    let s = &result.stats;
+    let counters = [
+        s.trees_built,
+        s.nodes,
+        s.events,
+        s.tree_pairs,
+        s.candidate_pairs,
+        s.solver_calls + s.prescreened_pairs,
+        s.races,
+    ];
+    (explained, counters, config.mem_gauge.peak())
+}
+
+#[test]
+fn worker_count_never_changes_results_with_the_build_board() {
+    // One task holding both large trees (the second is built by an idle
+    // worker), and a session of many small tasks.
+    for (tag, name, size) in [("board-one", "cpp_qsomp1", 10_000), ("board-many", "HPCCG", 10)] {
+        let dir = collect_workload(tag, name, size);
+        let (explained, counters, peak) = worker_invariant_view(&dir, 1);
+        assert!(!explained.is_empty(), "{name}: the workload races");
+        for workers in [2, 4, 8] {
+            let (e, c, p) = worker_invariant_view(&dir, workers);
+            assert_eq!(e, explained, "{name}: evidence at {workers} workers");
+            assert_eq!(c, counters, "{name}: counters at {workers} workers");
+            // One task holds every tree, so the peak is that task's trees
+            // whatever the pool size; helper-built trees are charged once,
+            // by the requester. With many tasks each worker's own tree
+            // cache holds trees, so there the peak follows the pool size.
+            if name == "cpp_qsomp1" {
+                assert_eq!(p, peak, "{name}: tree-memory peak at {workers} workers");
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The requester posts its second tree and then spends one whole tree
+/// build (~0.7 s unoptimized, ~90 ms optimized, at this size) before it
+/// would claim that job itself, while the other worker only has to start
+/// and find the deques empty to be waiting on the board. The board's own
+/// unit tests (`pipeline::tests`) show the claim without any timing.
+#[test]
+fn an_idle_worker_builds_a_running_tasks_tree() {
+    use sword::obs::Obs;
+    let dir = collect_workload("board-help", "cpp_qsomp1", 30_000);
+    let obs = Obs::new();
+    let config = AnalysisConfig::default().with_workers(2).with_obs(obs.clone());
+    analyze(&SessionDir::new(&dir), &config).expect("analysis succeeds");
+    let events = obs.journal.drain();
+    let builds: Vec<_> = events.iter().filter(|e| e.name == "help-build").collect();
+    assert_eq!(builds.len(), 1, "the one task posted one tree, and a helper built it");
+    let build = builds[0];
+    let arg = |k: &str| build.args.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap();
+    assert!(arg("nodes") > 1000.0, "{build:?}");
+    let requester = format!("oa-worker-{}", arg("for_worker"));
+    assert!(build.thread.starts_with("oa-worker-") && build.thread != requester, "{build:?}");
+    let (start, end) = (build.t_us, build.t_us + build.dur_us.unwrap());
+    let tasks_on = |lane: &str| -> Vec<(u64, u64)> {
+        events
+            .iter()
+            .filter(|e| e.name == "task" && e.thread == lane)
+            .map(|e| (e.t_us, e.t_us + e.dur_us.unwrap()))
+            .collect()
+    };
+    // The helper ran no task while it built (it had run out of tasks),
+    // and the requester's task spans the whole build.
+    assert!(
+        tasks_on(&build.thread).iter().all(|&(s, e)| e <= start || s >= end),
+        "helper was idle: {:?} vs build {start}..{end}",
+        tasks_on(&build.thread)
+    );
+    assert!(
+        tasks_on(&requester).iter().any(|&(s, e)| s <= start && e >= end),
+        "requester waited: {:?} vs build {start}..{end}",
+        tasks_on(&requester)
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_failed_helper_build_is_a_clean_error_not_a_hang() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let dir = collect_workload("board-corrupt", "cpp_qsomp1", 10_000);
+    let session = SessionDir::new(&dir);
+    // Corrupting either thread's log makes one of the task's two tree
+    // builds fail: the one the task's worker keeps, or the one it posts.
+    for tid in session.thread_ids().unwrap() {
+        let copy = tmp(&format!("board-corrupt-{tid}"));
+        fs::create_dir_all(&copy).unwrap();
+        for entry in fs::read_dir(&dir).unwrap() {
+            let entry = entry.unwrap();
+            fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+        }
+        let log = SessionDir::new(&copy).thread_log(tid);
+        let mut bytes = fs::read(&log).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid..mid + 64].fill(0xff);
+        fs::write(&log, bytes).unwrap();
+
+        let errors: Vec<(std::io::ErrorKind, String)> = [1, 4]
+            .into_iter()
+            .map(|workers| {
+                let (tx, rx) = mpsc::channel();
+                let session = SessionDir::new(&copy);
+                std::thread::spawn(move || {
+                    let _ = tx
+                        .send(analyze(&session, &AnalysisConfig::default().with_workers(workers)));
+                });
+                let result = rx
+                    .recv_timeout(Duration::from_secs(120))
+                    .unwrap_or_else(|_| panic!("analysis at {workers} workers hung"));
+                let e = result.expect_err("a corrupt log fails the analysis");
+                (e.kind(), e.to_string())
+            })
+            .collect();
+        assert_eq!(errors[0].0, std::io::ErrorKind::InvalidData, "{:?}", errors[0]);
+        assert_eq!(errors[1], errors[0], "thread {tid}: 4 workers vs 1");
+        fs::remove_dir_all(&copy).unwrap();
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}

@@ -143,15 +143,19 @@ fn sse_streams_framed_journal_events_with_layer_filter() {
     }
     let rt = obs.journal.for_thread(Layer::Runtime, "app-0");
     let off = obs.journal.for_thread(Layer::Offline, "oa");
-    rt.instant("flush-a", vec![("bytes".to_string(), 64.0)]);
+    rt.instant("flush-a", vec![("bytes".into(), 64.0)]);
     off.instant("discover", vec![]); // filtered out
     rt.instant("flush-b", vec![]);
     obs.journal.drain();
 
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
+    // Keepalives arrive every 500 ms and restart the read timeout, so a
+    // lost event would keep the loops below reading forever: bound them.
+    let deadline = Instant::now() + Duration::from_secs(30);
     // Skip response head.
     loop {
+        assert!(Instant::now() < deadline, "no response head before the deadline");
         line.clear();
         reader.read_line(&mut line).unwrap();
         if line == "\r\n" {
@@ -160,6 +164,7 @@ fn sse_streams_framed_journal_events_with_layer_filter() {
     }
     let mut events = Vec::new();
     while events.len() < 2 {
+        assert!(Instant::now() < deadline, "only {} of 2 events before the deadline", events.len());
         line.clear();
         if reader.read_line(&mut line).unwrap() == 0 {
             break;

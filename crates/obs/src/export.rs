@@ -36,7 +36,7 @@ pub fn chrome_trace(events: &[JournalEvent]) -> Value {
     let mut out = Vec::new();
     // Assign stable integer tids per (layer, thread label) in
     // first-seen order, and emit metadata naming events up front.
-    let mut tids: BTreeMap<(u64, String), u64> = BTreeMap::new();
+    let mut tids: BTreeMap<(u64, std::sync::Arc<str>), u64> = BTreeMap::new();
     let mut next_tid = 1;
     let mut seen_pids: Vec<u64> = Vec::new();
     for event in events {
@@ -53,7 +53,7 @@ pub fn chrome_trace(events: &[JournalEvent]) -> Value {
         let key = (pid, event.thread.clone());
         if !tids.contains_key(&key) {
             tids.insert(key.clone(), next_tid);
-            out.push(metadata_event("thread_name", pid, next_tid, event.thread.clone()));
+            out.push(metadata_event("thread_name", pid, next_tid, event.thread.to_string()));
             out.push(Value::Obj(vec![
                 ("name".to_string(), Value::Str("thread_sort_index".to_string())),
                 ("ph".to_string(), Value::Str("M".to_string())),
@@ -90,9 +90,9 @@ fn metadata_event(name: &str, pid: u64, tid: u64, value: String) -> Value {
 
 fn trace_event(event: &JournalEvent, pid: u64, tid: u64) -> Value {
     let args: Vec<(String, Value)> =
-        event.args.iter().map(|(k, v)| (k.clone(), Value::Num(*v))).collect();
+        event.args.iter().map(|(k, v)| (k.to_string(), Value::Num(*v))).collect();
     let mut pairs = vec![
-        ("name".to_string(), Value::Str(event.name.clone())),
+        ("name".to_string(), Value::Str(event.name.to_string())),
         ("cat".to_string(), Value::Str(event.layer.as_str().to_string())),
         ("pid".to_string(), Value::Num(pid as f64)),
         ("tid".to_string(), Value::Num(tid as f64)),
@@ -160,11 +160,11 @@ mod tests {
     fn ev(layer: Layer, thread: &str, name: &str, t: u64, dur: Option<u64>) -> JournalEvent {
         JournalEvent {
             layer,
-            thread: thread.to_string(),
-            name: name.to_string(),
+            thread: thread.into(),
+            name: name.to_string().into(),
             t_us: t,
             dur_us: dur,
-            args: vec![("bytes".to_string(), 10.0)],
+            args: vec![("bytes".into(), 10.0)],
             flow: None,
         }
     }
@@ -177,11 +177,11 @@ mod tests {
             ev(Layer::Offline, "analyzer", "build-structure", 40, Some(8)),
             JournalEvent {
                 layer: Layer::Cli,
-                thread: "metrics".to_string(),
-                name: "metrics".to_string(),
+                thread: "metrics".into(),
+                name: "metrics".into(),
                 t_us: 50,
                 dur_us: None,
-                args: vec![("queue".to_string(), 2.0)],
+                args: vec![("queue".into(), 2.0)],
                 flow: None,
             },
             ev(Layer::Runtime, "app-0", "publish", 60, None),

@@ -150,20 +150,39 @@ pub(crate) fn render_num(n: f64, out: &mut String) {
 
 pub(crate) fn render_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+    // Names, labels and keys are plain ASCII: one check, one copy.
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+    } else {
+        render_escaped(s, out);
     }
     out.push('"');
+}
+
+/// The body of [`render_str`] for a string with characters to escape.
+/// Every escaped character is ASCII, so each cut between the copied runs
+/// lands on a character boundary.
+fn render_escaped(s: &str, out: &mut String) {
+    let mut plain = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        if escaped.is_empty() {
+            let _ = write!(out, "\\u{:04x}", b);
+        } else {
+            out.push_str(escaped);
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
 }
 
 /// Parses a complete JSON document, rejecting trailing garbage.
@@ -342,6 +361,32 @@ mod tests {
     fn integers_render_without_fraction() {
         assert_eq!(Value::Num(25000.0).render(), "25000");
         assert_eq!(Value::Num(1.5).render(), "1.5");
+    }
+
+    #[test]
+    fn strings_render_as_the_escape_table_reads() {
+        // Character by character, as the escape table reads.
+        let reference = |s: &str| {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        };
+        for s in ["", "app-3", "a\"b\\c", "\n\r\t", "x\u{1}y\u{1f}", "é→\"ü\n", "tail\u{7f}"] {
+            let mut out = String::new();
+            render_str(s, &mut out);
+            assert_eq!(out, reference(s), "{s:?}");
+        }
     }
 
     #[test]

@@ -64,6 +64,7 @@ mod tool;
 pub use memory::{TrackedBuf, TrackedValue};
 pub use runtime::{
     dynamic_chunks, guided_chunks, Ctx, DepMode, OmpLock, OmpSim, OrderedLoop, SimConfig,
+    ACCESS_BATCH,
 };
 pub use sequencer::Sequencer;
 pub use sword_trace::{AccessKind, MemAccess, MutexId, PcId, RegionId, ThreadId};

@@ -1,7 +1,7 @@
 //! The fork-join runtime: regions, teams, barriers, worksharing, locks,
 //! and instrumented access dispatch.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::Location;
@@ -74,6 +74,18 @@ pub fn guided_chunks(range: Range<u64>, min_chunk: u64, span: u64) -> Vec<(u64, 
     out
 }
 
+/// Accesses a context holds for a tool that defers them
+/// ([`Tool::defers_accesses`]) before handing them over as one batch. A
+/// sweep over 64–1024 on `HPCCG` 56 (EXPERIMENTS.md) read the same
+/// collection time within run-to-run spread: the per-batch costs are
+/// amortized by 64 already. 256 (4 KB) keeps the batch small next to the
+/// collector's per-thread buffers.
+pub const ACCESS_BATCH: usize = 256;
+
+/// Entries in each context's direct-mapped call-site → PC table. Real
+/// kernels touch a few dozen access sites per context.
+const PC_SITES: usize = 64;
+
 /// Runtime configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -117,6 +129,8 @@ struct MutexRegistry {
 /// instrumented program; tools are attached at construction.
 pub struct OmpSim {
     tool: Option<Arc<dyn Tool>>,
+    /// The tool's [`Tool::defers_accesses`], asked once at attach time.
+    defers: bool,
     config: SimConfig,
     next_tid: AtomicU32,
     tid_pool: Mutex<Vec<ThreadId>>,
@@ -139,6 +153,7 @@ impl OmpSim {
         let addr_base = config.addr_base;
         OmpSim {
             tool: None,
+            defers: false,
             config,
             next_tid: AtomicU32::new(0),
             tid_pool: Mutex::new(Vec::new()),
@@ -159,6 +174,7 @@ impl OmpSim {
     /// A tooled runtime with explicit config.
     pub fn with_tool_and_config(tool: Arc<dyn Tool>, config: SimConfig) -> Self {
         let mut sim = Self::with_config(config);
+        sim.defers = tool.defers_accesses();
         sim.tool = Some(tool);
         sim
     }
@@ -176,15 +192,7 @@ impl OmpSim {
             t.program_begin();
         }
         let master_tid = self.acquire_tids(1)[0];
-        let ctx = Ctx {
-            sim: self,
-            tid: master_tid,
-            label: RefCell::new(Label::root()),
-            region: None,
-            fork_seq: Cell::new(0),
-            pc_cache: RefCell::new(HashMap::new()),
-            task_state: RefCell::new(None),
-        };
+        let ctx = Ctx::new(self, master_tid, Label::root(), None, None);
         let r = f(&ctx);
         self.release_tids(&[master_tid]);
         if let Some(t) = &self.tool {
@@ -486,13 +494,43 @@ pub struct Ctx<'rt> {
     /// successive teams without making the join look like a barrier
     /// crossing to sibling members.
     fork_seq: Cell<u64>,
+    /// Call site → PC, direct-mapped by the `&'static Location` address:
+    /// the hot-path lookup. One address always names one `file:line`, so
+    /// a hit is exact; misses fall back to `pc_cache`.
+    pc_sites: [Cell<(usize, PcId)>; PC_SITES],
+    /// `(file, line)` → PC: interns each line once per context, so sites
+    /// on one line (different columns) share a PC and the global table's
+    /// lock is taken only on a context's first sight of a line.
     pc_cache: RefCell<HashMap<(usize, u32), PcId>>,
     /// Explicit-task chain state; `Some` only for team workers (the
     /// master context and task bodies create no traced tasks).
     task_state: RefCell<Option<TaskState>>,
+    /// Accesses not yet handed to a deferring tool, in program order, all
+    /// made at the context's current position (see [`Ctx::deliver`]).
+    batch: RefCell<Vec<MemAccess>>,
 }
 
 impl<'rt> Ctx<'rt> {
+    fn new(
+        sim: &'rt OmpSim,
+        tid: ThreadId,
+        label: Label,
+        region: Option<RegionInfo>,
+        task_state: Option<TaskState>,
+    ) -> Self {
+        Ctx {
+            sim,
+            tid,
+            label: RefCell::new(label),
+            region,
+            fork_seq: Cell::new(0),
+            pc_sites: std::array::from_fn(|_| Cell::new((0, 0))),
+            pc_cache: RefCell::new(HashMap::new()),
+            task_state: RefCell::new(task_state),
+            batch: RefCell::new(Vec::new()),
+        }
+    }
+
     /// The runtime this context belongs to.
     pub fn sim(&self) -> &'rt OmpSim {
         self.sim
@@ -540,7 +578,7 @@ impl<'rt> Ctx<'rt> {
             None => (None, 1),
         };
         let fork_label = self.label.borrow().fork_point(self.fork_seq.get());
-        if let Some(t) = &self.sim.tool {
+        if let Some(t) = self.tool() {
             t.parallel_begin(&ParallelBeginInfo {
                 region,
                 parent_region,
@@ -561,11 +599,12 @@ impl<'rt> Ctx<'rt> {
                 let body = &body;
                 s.spawn(move || {
                     let worker_label = fork_label.fork(i, span);
-                    let ctx = Ctx {
+                    let task_state = TaskState::new(worker_label.clone(), region);
+                    let ctx = Ctx::new(
                         sim,
                         tid,
-                        label: RefCell::new(worker_label.clone()),
-                        region: Some(RegionInfo {
+                        worker_label,
+                        Some(RegionInfo {
                             region,
                             parent_region,
                             level,
@@ -577,10 +616,8 @@ impl<'rt> Ctx<'rt> {
                             ordered_loop_seq: Cell::new(0),
                             is_task: false,
                         }),
-                        fork_seq: Cell::new(0),
-                        pc_cache: RefCell::new(HashMap::new()),
-                        task_state: RefCell::new(Some(TaskState::new(worker_label, region))),
-                    };
+                        Some(task_state),
+                    );
                     ctx.with_tool(|t, tc| t.thread_begin(tc));
                     body(&ctx);
                     // The implicit end-of-region barrier is a task
@@ -598,7 +635,7 @@ impl<'rt> Ctx<'rt> {
         // thread's later subtrees look barrier-ordered against *sibling*
         // members' accesses in the offline analysis.
         self.fork_seq.set(self.fork_seq.get() + 1);
-        if let Some(t) = &self.sim.tool {
+        if let Some(t) = self.tool() {
             t.parallel_end(region, self.tid);
         }
     }
@@ -638,9 +675,9 @@ impl<'rt> Ctx<'rt> {
         self.implicit_task_sync();
         self.with_tool(|t, tc| t.barrier_begin(tc));
         r.team.wait();
-        self.label.borrow_mut().bump_in_place();
+        self.label_mut().bump_in_place();
         r.bid.set(r.bid.get() + 1);
-        if let Some(ts) = self.task_state.borrow_mut().as_mut() {
+        if let Some(ts) = self.task_state_mut().as_mut() {
             ts.base = self.label.borrow().clone();
             ts.cur_row = (r.region, r.bid.get());
         }
@@ -715,11 +752,11 @@ impl<'rt> Ctx<'rt> {
             creator_tid: self.tid,
         };
         self.with_tool(|t, tc| t.task_create(tc, &info));
-        let task_ctx = Ctx {
-            sim: self.sim,
-            tid: task_tid,
-            label: RefCell::new(task_label.clone()),
-            region: Some(RegionInfo {
+        let task_ctx = Ctx::new(
+            self.sim,
+            task_tid,
+            task_label.clone(),
+            Some(RegionInfo {
                 region: pid,
                 parent_region: Some(r.region),
                 level: r.level + 1,
@@ -731,11 +768,9 @@ impl<'rt> Ctx<'rt> {
                 ordered_loop_seq: Cell::new(0),
                 is_task: true,
             }),
-            fork_seq: Cell::new(0),
-            pc_cache: RefCell::new(HashMap::new()),
-            task_state: RefCell::new(None),
-        };
-        if let Some(tool) = &self.sim.tool {
+            None,
+        );
+        if let Some(tool) = self.tool() {
             let outer_label = self.label.borrow();
             let outer_tc = self.make_tc(r, &outer_label);
             let task_r = task_ctx.region.as_ref().expect("task ctx has a region");
@@ -743,14 +778,16 @@ impl<'rt> Ctx<'rt> {
             tool.task_begin(&outer_tc, &task_tc, uid);
         }
         body(&task_ctx);
-        *self.label.borrow_mut() = cont_label.clone();
+        *self.label_mut() = cont_label.clone();
         {
-            let mut ts = self.task_state.borrow_mut();
+            let mut ts = self.task_state_mut();
             let ts = ts.as_mut().expect("workers carry task state");
             ts.cur_row = (pid, 0);
             ts.outstanding.push(TaskRec { uid, deps: deps.to_vec() });
         }
-        if let Some(tool) = &self.sim.tool {
+        // `task_end` is the task context's last callback too: its tool()
+        // hands over the body's last batch first.
+        if let Some(tool) = task_ctx.tool() {
             let task_r = task_ctx.region.as_ref().expect("task ctx has a region");
             let task_tc = task_ctx.make_tc(task_r, &task_label);
             let cont_tc = self.make_tc(r, &cont_label);
@@ -777,7 +814,7 @@ impl<'rt> Ctx<'rt> {
         };
         assert!(!r.is_task, "taskgroup inside an explicit task is not modeled");
         {
-            let mut ts = self.task_state.borrow_mut();
+            let mut ts = self.task_state_mut();
             let ts = ts.as_mut().expect("workers carry task state");
             ts.groups.push(GroupFrame {
                 mark: ts.outstanding.len(),
@@ -787,7 +824,7 @@ impl<'rt> Ctx<'rt> {
         }
         body(self);
         let (synced, entry_label) = {
-            let mut ts = self.task_state.borrow_mut();
+            let mut ts = self.task_state_mut();
             let ts = ts.as_mut().expect("workers carry task state");
             let frame = ts.groups.pop().expect("taskgroup frames are balanced");
             let synced: Vec<TaskUid> =
@@ -798,7 +835,7 @@ impl<'rt> Ctx<'rt> {
             ts.cur_row = frame.entry_row;
             (synced, frame.entry_label)
         };
-        *self.label.borrow_mut() = entry_label;
+        *self.label_mut() = entry_label;
         self.with_tool(|t, tc| t.task_sync(tc, &synced));
     }
 
@@ -811,7 +848,7 @@ impl<'rt> Ctx<'rt> {
             return; // task bodies have no children to wait for
         }
         let (synced, restored) = {
-            let mut ts = self.task_state.borrow_mut();
+            let mut ts = self.task_state_mut();
             let ts = ts.as_mut().expect("workers carry task state");
             assert!(ts.groups.is_empty(), "taskwait/barrier inside taskgroup is not modeled");
             if ts.outstanding.is_empty() {
@@ -821,7 +858,7 @@ impl<'rt> Ctx<'rt> {
             ts.cur_row = (r.region, r.bid.get());
             (synced, ts.base.clone())
         };
-        *self.label.borrow_mut() = restored;
+        *self.label_mut() = restored;
         self.with_tool(|t, tc| t.task_sync(tc, &synced));
     }
 
@@ -1226,11 +1263,49 @@ impl<'rt> Ctx<'rt> {
 
     // ---- internals --------------------------------------------------------
 
-    fn with_tool(&self, f: impl FnOnce(&dyn Tool, &ThreadContext<'_>)) {
+    /// Hands the pending batch of accesses to the tool, under the
+    /// context's current position. This is the delivery rule of
+    /// [`Tool::defers_accesses`], kept in one place: the tool is reached
+    /// only through [`Ctx::tool`], and the position (label, meta row)
+    /// changes only through [`Ctx::label_mut`] and [`Ctx::task_state_mut`];
+    /// all three deliver first. So a batch never outlives its position and
+    /// never trails a later callback of its context.
+    fn deliver(&self) {
+        let mut batch = self.batch.borrow_mut();
+        if batch.is_empty() {
+            return;
+        }
         let (Some(tool), Some(r)) = (&self.sim.tool, &self.region) else { return };
         let label = self.label.borrow();
+        tool.accesses(&self.make_tc(r, &label), &batch);
+        batch.clear();
+    }
+
+    /// The tool, after delivering pending accesses. Every callback goes
+    /// through here.
+    fn tool(&self) -> Option<&'rt dyn Tool> {
+        self.deliver();
+        self.sim.tool.as_deref()
+    }
+
+    /// The label, for a move: pending accesses are delivered first.
+    fn label_mut(&self) -> RefMut<'_, Label> {
+        self.deliver();
+        self.label.borrow_mut()
+    }
+
+    /// The task state, for a change (it holds the meta row): pending
+    /// accesses are delivered first.
+    fn task_state_mut(&self) -> RefMut<'_, Option<TaskState>> {
+        self.deliver();
+        self.task_state.borrow_mut()
+    }
+
+    fn with_tool(&self, f: impl FnOnce(&dyn Tool, &ThreadContext<'_>)) {
+        let (Some(tool), Some(r)) = (self.tool(), &self.region) else { return };
+        let label = self.label.borrow();
         let tc = self.make_tc(r, &label);
-        f(tool.as_ref(), &tc);
+        f(tool, &tc);
     }
 
     /// Builds the [`ThreadContext`] the tool sees. While a task-fork chain
@@ -1277,23 +1352,49 @@ impl<'rt> Ctx<'rt> {
             return;
         }
         let pc = self.pc_of(loc);
-        self.with_tool(|t, tc| t.access(tc, MemAccess { addr, size, kind, pc }));
+        self.record(MemAccess { addr, size, kind, pc });
     }
 
     fn observe_pc(&self, addr: u64, size: u8, kind: AccessKind, pc: PcId) {
         if self.region.is_none() || self.sim.tool.is_none() {
             return;
         }
-        self.with_tool(|t, tc| t.access(tc, MemAccess { addr, size, kind, pc }));
+        self.record(MemAccess { addr, size, kind, pc });
+    }
+
+    /// Appends to the batch for a deferring tool (delivering it when
+    /// full); otherwise delivers the access at once.
+    fn record(&self, access: MemAccess) {
+        if self.sim.defers {
+            let mut batch = self.batch.borrow_mut();
+            batch.push(access);
+            if batch.len() < ACCESS_BATCH {
+                return;
+            }
+            drop(batch);
+            self.deliver();
+        } else {
+            self.with_tool(|t, tc| t.accesses(tc, std::slice::from_ref(&access)));
+        }
     }
 
     fn pc_of(&self, loc: &'static Location<'static>) -> PcId {
-        let key = (loc.file().as_ptr() as usize, loc.line());
-        if let Some(&id) = self.pc_cache.borrow().get(&key) {
+        let site = loc as *const Location<'static> as usize;
+        // Fibonacci hashing of the site address onto the table.
+        let slot = &self.pc_sites[((site as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            >> (64 - PC_SITES.ilog2())) as usize];
+        let (cached, id) = slot.get();
+        if cached == site {
             return id;
         }
-        let id = self.sim.intern_pc(loc);
-        self.pc_cache.borrow_mut().insert(key, id);
+        let key = (loc.file().as_ptr() as usize, loc.line());
+        let cached_line = self.pc_cache.borrow().get(&key).copied();
+        let id = cached_line.unwrap_or_else(|| {
+            let id = self.sim.intern_pc(loc);
+            self.pc_cache.borrow_mut().insert(key, id);
+            id
+        });
+        slot.set((site, id));
         id
     }
 }
@@ -1811,6 +1912,204 @@ mod tests {
         fn access(&self, _: &ThreadContext<'_>, a: MemAccess) {
             self.pcs.lock().unwrap().push(a.pc);
         }
+    }
+
+    /// Records every callback into its thread's sequence, each access on a
+    /// line of its own with the context it arrived under, plus the sizes of
+    /// the access runs delivered. Accesses keep their raw `PcId`: ids are
+    /// interned in first-use order across threads, so they are compared
+    /// by the site they resolve to.
+    #[derive(Default)]
+    struct SequenceRecorder {
+        defer: bool,
+        seqs: StdMutex<HashMap<ThreadId, Vec<RecordedLine>>>,
+        runs: StdMutex<Vec<usize>>,
+    }
+
+    /// A callback's text, and the access when it is one.
+    type RecordedLine = (String, Option<MemAccess>);
+
+    impl SequenceRecorder {
+        fn push(&self, tid: ThreadId, line: String) {
+            self.push_access(tid, line, None);
+        }
+
+        fn push_access(&self, tid: ThreadId, line: String, access: Option<MemAccess>) {
+            self.seqs.lock().unwrap().entry(tid).or_default().push((line, access));
+        }
+    }
+
+    fn tc_line(what: &str, c: &ThreadContext<'_>) -> String {
+        format!(
+            "{what} tid={} region={} parent={:?} level={} team={}/{} bid={} label={:?}",
+            c.tid, c.region, c.parent_region, c.level, c.team_index, c.span, c.bid, c.label
+        )
+    }
+
+    impl Tool for SequenceRecorder {
+        fn defers_accesses(&self) -> bool {
+            self.defer
+        }
+        fn parallel_begin(&self, i: &ParallelBeginInfo<'_>) {
+            let line = format!(
+                "fork {} {:?} {} {} {:?}",
+                i.region, i.parent_region, i.level, i.span, i.fork_label
+            );
+            self.push(i.fork_tid, line);
+        }
+        fn parallel_end(&self, region: RegionId, fork_tid: ThreadId) {
+            self.push(fork_tid, format!("join {region}"));
+        }
+        fn thread_begin(&self, c: &ThreadContext<'_>) {
+            self.push(c.tid, tc_line("thread_begin", c));
+        }
+        fn thread_end(&self, c: &ThreadContext<'_>) {
+            self.push(c.tid, tc_line("thread_end", c));
+        }
+        fn barrier_begin(&self, c: &ThreadContext<'_>) {
+            self.push(c.tid, tc_line("barrier_begin", c));
+        }
+        fn barrier_end(&self, c: &ThreadContext<'_>) {
+            self.push(c.tid, tc_line("barrier_end", c));
+        }
+        fn task_create(&self, outer: &ThreadContext<'_>, i: &TaskCreateInfo<'_>) {
+            let what = format!("task_create uid={} preds={:?}", i.uid, i.preds);
+            self.push(outer.tid, tc_line(&what, outer));
+        }
+        fn task_begin(&self, outer: &ThreadContext<'_>, task: &ThreadContext<'_>, uid: TaskUid) {
+            self.push(outer.tid, tc_line(&format!("task_begin(outer) {uid}"), outer));
+            self.push(task.tid, tc_line(&format!("task_begin {uid}"), task));
+        }
+        fn task_end(&self, task: &ThreadContext<'_>, outer: &ThreadContext<'_>, uid: TaskUid) {
+            self.push(task.tid, tc_line(&format!("task_end {uid}"), task));
+            self.push(outer.tid, tc_line(&format!("task_end(outer) {uid}"), outer));
+        }
+        fn task_sync(&self, c: &ThreadContext<'_>, synced: &[TaskUid]) {
+            self.push(c.tid, tc_line(&format!("task_sync {synced:?}"), c));
+        }
+        fn mutex_acquired(&self, c: &ThreadContext<'_>, m: MutexId) {
+            self.push(c.tid, tc_line(&format!("acquire {m}"), c));
+        }
+        fn mutex_released(&self, c: &ThreadContext<'_>, m: MutexId) {
+            self.push(c.tid, tc_line(&format!("release {m}"), c));
+        }
+        fn accesses(&self, c: &ThreadContext<'_>, run: &[MemAccess]) {
+            self.runs.lock().unwrap().push(run.len());
+            for &a in run {
+                self.push_access(c.tid, tc_line("access", c), Some(a));
+            }
+        }
+    }
+
+    /// A program touching every construct that moves a context or calls
+    /// the tool. Thread ids, region ids and lock ids come out the same on
+    /// every run: only team slot 0 creates tasks and nested teams, and the
+    /// named lock exists before any ordered loop allocates its lock.
+    fn every_construct(sim: &OmpSim) {
+        let a = sim.alloc::<u64>(1024, 0);
+        let partials = sim.alloc::<u64>(4, 0);
+        let total = sim.alloc::<u64>(1, 0);
+        sim.run(|ctx| {
+            ctx.parallel(3, |w| {
+                let me = w.team_index();
+                // 600 accesses per thread: runs of a full batch and a tail.
+                w.for_static(0..900, |i| {
+                    let v = w.read(&a, i);
+                    w.write(&a, i, v + 1);
+                });
+                w.critical("c", || {
+                    let v = w.read(&a, 0);
+                    w.write(&a, 0, v + 1);
+                });
+                w.atomic_update(&a, 1, |v| v + 1);
+                w.fetch_add(&a, 2, 1);
+                let v = w.atomic_read(&a, 2);
+                w.atomic_write(&a, 3, v);
+                w.for_dynamic_pinned(0..100, 7, |i| w.write(&a, 100 + i, i));
+                w.for_guided_pinned(0..100, 3, |i| {
+                    w.read(&a, 200 + i);
+                });
+                w.for_static_ordered(0..30, |i, ol| {
+                    w.read(&a, i);
+                    w.ordered(ol, i, || w.write(&a, 300, i));
+                });
+                w.single(|| w.write(&a, 4, 1));
+                w.master(|| w.write(&a, 5, 1));
+                let s = w.reduce_sum(&partials, &total, me);
+                if me == 0 {
+                    w.task_depend(&[(1, DepMode::Out)], |t| {
+                        for i in 0..300 {
+                            t.write(&a, 400 + i, i);
+                        }
+                    });
+                    w.write(&a, 6, 1);
+                    w.task_depend(&[(1, DepMode::In)], |t| {
+                        t.read(&a, 400);
+                    });
+                    w.taskgroup(|g| {
+                        g.write(&a, 7, 1);
+                        g.task(|t| t.write(&a, 8, 1));
+                        g.write(&a, 9, 1);
+                    });
+                    w.write(&a, 10, 1);
+                    w.taskwait();
+                    w.write(&a, 11, 1);
+                    w.parallel(2, |inner| {
+                        inner.for_static(0..50, |i| inner.write(&a, 500 + i, i));
+                        inner.critical("c", || inner.write(&a, 12, 1));
+                    });
+                    w.task(|t| t.write(&a, 13, 1));
+                }
+                w.write(&a, 14 + me, s);
+            });
+        });
+    }
+
+    #[test]
+    fn deferred_accesses_keep_every_threads_callback_sequence() {
+        let run = |defer: bool| {
+            let tool = Arc::new(SequenceRecorder { defer, ..Default::default() });
+            let sim = OmpSim::with_tool(tool.clone());
+            every_construct(&sim);
+            let pcs = sim.export_pcs();
+            drop(sim);
+            let tool = Arc::try_unwrap(tool).ok().expect("the runtime is gone");
+            let seqs: HashMap<ThreadId, Vec<String>> = tool
+                .seqs
+                .into_inner()
+                .unwrap()
+                .into_iter()
+                .map(|(tid, seq)| {
+                    let lines = seq.into_iter().map(|(line, access)| match access {
+                        Some(a) => {
+                            format!(
+                                "{line} {:#x}/{}/{:?}@{}",
+                                a.addr,
+                                a.size,
+                                a.kind,
+                                pcs.display(a.pc)
+                            )
+                        }
+                        None => line,
+                    });
+                    (tid, lines.collect())
+                })
+                .collect();
+            (seqs, tool.runs.into_inner().unwrap())
+        };
+        let (direct, direct_runs) = run(false);
+        let (deferred, deferred_runs) = run(true);
+        // The master's fork and join, workers, nested workers, and four
+        // task contexts.
+        assert_eq!(direct.len(), 1 + 3 + 2 + 4);
+        for (tid, seq) in &direct {
+            assert_eq!(Some(seq), deferred.get(tid), "thread {tid}");
+        }
+        assert_eq!(direct.len(), deferred.len());
+        assert!(direct_runs.iter().all(|&n| n == 1), "undeferred accesses arrive one by one");
+        assert_eq!(direct_runs.len(), deferred_runs.iter().sum::<usize>());
+        assert!(deferred_runs.iter().all(|&n| (1..=ACCESS_BATCH).contains(&n)));
+        assert!(deferred_runs.contains(&ACCESS_BATCH), "a full batch was handed over");
     }
 
     /// Records the full task callback choreography for contract tests.

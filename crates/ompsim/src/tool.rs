@@ -4,11 +4,23 @@
 //! OpenMP runtime: region begin/end in the forking thread, per-worker
 //! thread begin/end, barrier crossings split into a pre-wait and post-wait
 //! half (so happens-before tools can publish and then adopt clocks), mutex
-//! transitions, and one callback per instrumented memory access.
+//! transitions, and the instrumented memory accesses.
 //!
-//! All callbacks are invoked synchronously on the thread that performed
-//! the action, concurrently across threads — tools synchronize their own
-//! state, exactly as OMPT tools must.
+//! Every callback runs on the thread that performed the action,
+//! concurrently across threads — tools synchronize their own state,
+//! exactly as OMPT tools must. All callbacks except the accesses run at
+//! the action itself. Accesses reach [`Tool::accesses`] as runs of one
+//! context, in program order:
+//!
+//! - A tool whose [`Tool::defers_accesses`] is `false` (the default) gets
+//!   each access alone, at the access.
+//! - A tool that answers `true` gets them late, in batches of at most
+//!   [`crate::ACCESS_BATCH`]. A context hands its batch over before it
+//!   makes any other callback and before its position (label, meta row)
+//!   moves, so a batch is always delivered with the [`ThreadContext`] its
+//!   accesses were made under, and never after a callback that followed
+//!   them. Order across threads is not kept: a tool whose state depends on
+//!   how accesses of different threads interleave must not defer.
 
 use sword_osl::Label;
 use sword_trace::{MemAccess, MutexId, RegionId, ThreadId};
@@ -143,6 +155,22 @@ pub trait Tool: Send + Sync {
 
     /// An instrumented memory access inside a parallel region.
     fn access(&self, ctx: &ThreadContext<'_>, access: MemAccess) {}
+
+    /// Accesses of one context, in program order, all made under `ctx`
+    /// (see the module docs for when they arrive). The default hands each
+    /// to [`Tool::access`].
+    fn accesses(&self, ctx: &ThreadContext<'_>, accesses: &[MemAccess]) {
+        for &a in accesses {
+            self.access(ctx, a);
+        }
+    }
+
+    /// Whether accesses may reach this tool late, in batches (queried once,
+    /// when the tool is attached). Defaults to `false`: every access is
+    /// delivered at the access.
+    fn defers_accesses(&self) -> bool {
+        false
+    }
 }
 
 /// A tool that observes nothing — baseline runs use it implicitly.

@@ -498,13 +498,13 @@ impl AnalysisResult {
 /// given recorder, with one summary argument.
 pub(crate) fn journal_stage(
     journal: &Option<ThreadJournal>,
-    name: &str,
+    name: &'static str,
     start_us: Option<u64>,
-    arg: (&str, f64),
+    arg: (&'static str, f64),
 ) {
     if let (Some(j), Some(start)) = (journal, start_us) {
         let dur = j.now_us().saturating_sub(start);
-        j.span_closed(name, start, dur, vec![(arg.0.to_string(), arg.1)]);
+        j.span_closed(name, start, dur, vec![(arg.0.into(), arg.1)]);
     }
 }
 

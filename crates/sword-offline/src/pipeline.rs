@@ -326,10 +326,7 @@ impl Builder<'_> {
                 "help-build",
                 s0,
                 j.now_us().saturating_sub(s0),
-                vec![
-                    ("nodes".to_string(), nodes as f64),
-                    ("for_worker".to_string(), job.owner as f64),
-                ],
+                vec![("nodes".into(), nodes as f64), ("for_worker".into(), job.owner as f64)],
             );
         }
         // The owner stops listening after one of its builds fails.
@@ -567,7 +564,7 @@ pub(crate) fn run(
                             "task",
                             s0,
                             j.now_us().saturating_sub(s0),
-                            vec![("tree_pairs".to_string(), local.tree_pairs as f64)],
+                            vec![("tree_pairs".into(), local.tree_pairs as f64)],
                             flow.map(|f| (f, FlowPhase::Start)),
                         );
                     }
@@ -606,7 +603,7 @@ pub(crate) fn run(
                     if let (Some(j), Some(flow)) = (&reduce_journal, outcome.flow) {
                         j.instant_flow(
                             "merge",
-                            vec![("task_secs".to_string(), outcome.secs)],
+                            vec![("task_secs".into(), outcome.secs)],
                             Some((flow, FlowPhase::End)),
                         );
                     }

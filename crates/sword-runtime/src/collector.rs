@@ -320,6 +320,10 @@ impl WriterObs {
 struct Inner {
     session: SessionDir,
     slots: Mutex<HashMap<ThreadId, Arc<Mutex<ThreadLog>>>>,
+    /// Slots still collecting (registered, not retired by `task_end`) and
+    /// the most there ever were at once.
+    live_slots: AtomicU64,
+    peak_slots: AtomicU64,
     regions: Mutex<Vec<RegionRecord>>,
     /// Durably flushed *uncompressed* log bytes per thread — the live
     /// watermark. Only rows whose byte range lies entirely below this are
@@ -331,6 +335,15 @@ struct Inner {
 }
 
 impl Inner {
+    /// Fixed per-thread bookkeeping at its peak: one [`ThreadLog`] per
+    /// slot collecting at once. A retired task's log keeps only its meta
+    /// rows, which are excluded by design — they are O(intervals), spilled
+    /// with the logs in a production setting; the paper's bound covers the
+    /// event path.
+    fn bookkeeping_bytes(&self) -> u64 {
+        self.peak_slots.load(Ordering::Relaxed) * std::mem::size_of::<ThreadLog>() as u64
+    }
+
     /// Publishes a consistent metadata snapshot covering only durably
     /// flushed log bytes.
     ///
@@ -402,8 +415,8 @@ fn compression_worker(
                 t0,
                 journal.now_us().saturating_sub(t0),
                 vec![
-                    ("raw_bytes".to_string(), raw_len as f64),
-                    ("frame_bytes".to_string(), frame.len() as f64),
+                    ("raw_bytes".into(), raw_len as f64),
+                    ("frame_bytes".into(), frame.len() as f64),
                 ],
                 job.trace.map(|tag| (tag.flow, FlowPhase::Step)),
             );
@@ -449,7 +462,7 @@ fn write_one(
             "write",
             t0,
             o.journal.now_us().saturating_sub(t0),
-            vec![("frame_bytes".to_string(), job.frame.len() as f64)],
+            vec![("frame_bytes".into(), job.frame.len() as f64)],
             job.trace.map(|tag| (tag.flow, FlowPhase::End)),
         );
     }
@@ -521,10 +534,7 @@ fn register_collector_sources(
     reg.source(
         "sword_collector_tool_mem_bytes",
         "bounded collector footprint: pool capacity + per-thread bookkeeping",
-        move || {
-            let slots = i.slots.lock().len() as u64;
-            (p.created_bytes() + slots * std::mem::size_of::<ThreadLog>() as u64) as f64
-        },
+        move || (p.created_bytes() + i.bookkeeping_bytes()) as f64,
     );
 }
 
@@ -563,6 +573,8 @@ impl SwordCollector {
         let inner = Arc::new(Inner {
             session,
             slots: Mutex::new(HashMap::new()),
+            live_slots: AtomicU64::new(0),
+            peak_slots: AtomicU64::new(0),
             regions: Mutex::new(Vec::new()),
             confirmed: Mutex::new(HashMap::new()),
             generation: AtomicU64::new(0),
@@ -756,18 +768,13 @@ impl SwordCollector {
             stats.events += log.events_total;
             stats.flushes += log.flushes;
             stats.barrier_intervals += log.meta.len() as u64;
-            // Fixed per-thread bookkeeping; the event buffers themselves
-            // are pool-owned and counted once below. Meta rows are
-            // excluded by design — they are O(regions), spilled with the
-            // logs in a production setting; the paper's bound covers the
-            // event path.
-            stats.tool_memory_bytes += std::mem::size_of::<ThreadLog>() as u64;
         }
         // Every event buffer in existence — being filled, in flight to a
         // worker, or spare — came from the pool, so its created capacity
-        // IS the bounded event-path footprint: 2·threads + workers
-        // buffers, regardless of run length or application size.
-        stats.tool_memory_bytes += self.pool.created_bytes();
+        // IS the bounded event-path footprint: at most 2·(threads
+        // collecting at once) + workers buffers, regardless of run length,
+        // task count or application size.
+        stats.tool_memory_bytes = self.pool.created_bytes() + self.inner.bookkeeping_bytes();
         if let Some((raw, compressed)) = *self.writer_totals.lock() {
             stats.raw_bytes = raw;
             stats.compressed_bytes = compressed;
@@ -801,6 +808,8 @@ impl SwordCollector {
                     // at flush time. The budget grows before the acquire,
                     // so this initial acquire never blocks.
                     self.pool.grow_budget(2);
+                    let live = self.inner.live_slots.fetch_add(1, Ordering::Relaxed) + 1;
+                    self.inner.peak_slots.fetch_max(live, Ordering::Relaxed);
                     let initial = self.pool.acquire();
                     let mut log = ThreadLog::with_buffer(self.config.buffer_events, initial);
                     log.obs = self.obs.as_ref().map(|ctx| {
@@ -864,44 +873,61 @@ impl SwordCollector {
 
     fn push_event(&self, tid: ThreadId, event: &Event) {
         let slot = self.slot(tid);
-        let shipment = {
-            let mut log = slot.lock();
-            if log.push(event) {
-                // Double-buffer handoff: trade the full buffer for a
-                // drained one. `acquire` only blocks when the whole pool
-                // budget is in flight (I/O slower than event production);
-                // that backpressure stall is what `stall_nanos` measures.
-                // The journal records only here, at flush boundaries —
-                // once per ~buffer_events events, never per event.
-                let t0 = log.obs.as_ref().map(ThreadJournal::now_us);
-                let start = Instant::now();
-                let fresh = self.pool.acquire();
-                let stall = elapsed_nanos(start);
-                self.counters.add_stall(stall);
-                let block = log.swap_buffer(fresh);
-                // The handoff span starts this block's causal flow; the
-                // compress and write spans downstream continue it.
-                let flow = self.stage.as_ref().map(|s| s.journal.next_flow_id());
-                if let (Some(tj), Some(t0)) = (&log.obs, t0) {
-                    tj.span_closed_flow(
-                        "flush-handoff",
-                        t0,
-                        tj.now_us().saturating_sub(t0),
-                        vec![
-                            ("bytes".to_string(), block.len() as f64),
-                            ("stall_ns".to_string(), stall as f64),
-                        ],
-                        flow.map(|f| (f, FlowPhase::Start)),
-                    );
-                }
-                Some((block, flow))
-            } else {
-                None
-            }
-        };
-        if let Some((block, flow)) = shipment {
-            self.ship(tid, block, flow);
+        let mut log = slot.lock();
+        if log.push(event) {
+            self.hand_off(tid, &mut log);
         }
+    }
+
+    /// Retires a finished task's slot. Tasks run under fresh thread ids
+    /// that never come back, so the partial buffer ships now (the same
+    /// block finalize would ship), an unused buffer goes back to the pool,
+    /// and the task's pool budget is returned: later tasks reuse both, and
+    /// the pool stays bounded by the threads collecting at once rather
+    /// than by the number of tasks. Only the meta rows stay.
+    fn retire(&self, tid: ThreadId) {
+        let slot = self.slot(tid);
+        let mut log = slot.lock();
+        if log.interval_open() {
+            log.close_interval();
+        }
+        if let Some(block) = log.drain() {
+            self.ship(tid, block, None);
+        }
+        if let Some(spare) = log.release_buffer() {
+            self.pool.release(spare);
+        }
+        drop(log);
+        self.pool.shrink_budget(2);
+        self.inner.live_slots.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Double-buffer handoff of `log`'s full buffer: trade it for a drained
+    /// one and ship it. `acquire` only blocks when the whole pool budget is
+    /// in flight (I/O slower than event production); that backpressure
+    /// stall is what `stall_nanos` measures. The journal records only
+    /// here, at flush boundaries — once per ~buffer_events events, never
+    /// per event.
+    fn hand_off(&self, tid: ThreadId, log: &mut ThreadLog) {
+        let t0 = log.obs.as_ref().map(ThreadJournal::now_us);
+        let start = Instant::now();
+        let fresh = self.pool.acquire();
+        let stall = elapsed_nanos(start);
+        self.counters.add_stall(stall);
+        let block = log.swap_buffer(fresh);
+        // The handoff span starts this block's causal flow; the compress
+        // and write spans downstream continue it.
+        let flow = self.stage.as_ref().map(|s| s.journal.next_flow_id());
+        if let (Some(tj), Some(t0)) = (&log.obs, t0) {
+            tj.span_closed_flow(
+                "flush-handoff",
+                t0,
+                tj.now_us().saturating_sub(t0),
+                vec![("bytes".into(), block.len() as f64), ("stall_ns".into(), stall as f64)],
+                flow.map(|f| (f, FlowPhase::Start)),
+            );
+        }
+        self.ship(tid, block, flow);
     }
 
     fn finalize(&self) -> io::Result<()> {
@@ -971,7 +997,7 @@ impl SwordCollector {
         // Prometheus exposition file.
         if let Some(ctx) = &self.obs {
             let journal = ctx.obs.journal.for_thread(Layer::Runtime, "collector");
-            journal.instant("finalize", vec![("threads".to_string(), slots.len() as f64)]);
+            journal.instant("finalize", vec![("threads".into(), slots.len() as f64)]);
             ctx.snapshot_and_flush();
             self.inner.session.write_file_atomic(
                 &self.inner.session.metrics_path(),
@@ -1059,13 +1085,7 @@ impl Tool for SwordCollector {
     }
 
     fn task_end(&self, task: &ThreadContext<'_>, outer: &ThreadContext<'_>, _uid: TaskUid) {
-        {
-            let slot = self.slot(task.tid);
-            let mut log = slot.lock();
-            if log.interval_open() {
-                log.close_interval();
-            }
-        }
+        self.retire(task.tid);
         let slot = self.slot(outer.tid);
         slot.lock().open_interval(outer);
     }
@@ -1089,8 +1109,20 @@ impl Tool for SwordCollector {
         self.push_event(ctx.tid, &Event::MutexRelease(mutex));
     }
 
-    fn access(&self, ctx: &ThreadContext<'_>, access: MemAccess) {
-        self.push_event(ctx.tid, &Event::Access(access));
+    /// One slot lookup and one lock per batch; a buffer that fills
+    /// mid-batch goes through the ordinary handoff.
+    fn accesses(&self, ctx: &ThreadContext<'_>, accesses: &[MemAccess]) {
+        let slot = self.slot(ctx.tid);
+        let mut log = slot.lock();
+        for &a in accesses {
+            if log.push(&Event::Access(a)) {
+                self.hand_off(ctx.tid, &mut log);
+            }
+        }
+    }
+
+    fn defers_accesses(&self) -> bool {
+        true
     }
 
     fn parallel_end(&self, _region: RegionId, _fork_tid: ThreadId) {}
@@ -1589,7 +1621,7 @@ mod tests {
         let read = sword_obs::read_journal(&session.obs_path()).unwrap();
         assert!(!read.truncated_tail);
         let span_names: Vec<&str> =
-            read.events.iter().filter(|e| e.dur_us.is_some()).map(|e| e.name.as_str()).collect();
+            read.events.iter().filter(|e| e.dur_us.is_some()).map(|e| &*e.name).collect();
         for expected in ["flush-handoff", "compress", "write"] {
             assert!(span_names.contains(&expected), "missing {expected} span");
         }
@@ -1648,6 +1680,161 @@ mod tests {
         assert!(prom.contains("sword_flushes_total"));
         assert!(prom.contains("sword_writer_queue_depth"));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Feeds one thread's callbacks straight into a collector: three
+    /// barrier intervals of accesses, each with a critical section in the
+    /// middle, the accesses delivered through `accesses` in runs whose
+    /// lengths `split` draws. Returns the decompressed log, the meta file
+    /// and the (events, flushes) counts.
+    fn collect_in_splits(
+        tag: &str,
+        async_flush: bool,
+        mut split: impl FnMut() -> usize,
+    ) -> (Vec<u8>, Vec<u8>, u64, u64) {
+        use sword_osl::Label;
+        use sword_trace::AccessKind;
+        let dir = tmp_session(tag);
+        let mut config = SwordConfig::new(&dir).buffer_events(7);
+        if !async_flush {
+            config = config.sync_flush();
+        }
+        let sword = SwordCollector::new(config).unwrap();
+        let mut label = Label::root().fork(0, 1);
+        fn tc(label: &Label, bid: u32) -> ThreadContext<'_> {
+            ThreadContext {
+                tid: 0,
+                region: 0,
+                parent_region: None,
+                level: 1,
+                team_index: 0,
+                span: 1,
+                bid,
+                label,
+            }
+        }
+        let mut deliver = |ctx: &ThreadContext<'_>, stream: &[MemAccess]| {
+            let mut rest = stream;
+            while !rest.is_empty() {
+                let n = split().clamp(1, rest.len());
+                sword.accesses(ctx, &rest[..n]);
+                rest = &rest[n..];
+            }
+        };
+        sword.parallel_begin(&ParallelBeginInfo {
+            region: 0,
+            parent_region: None,
+            level: 1,
+            span: 1,
+            fork_label: &Label::root(),
+            fork_tid: 0,
+        });
+        sword.thread_begin(&tc(&label, 0));
+        for bid in 0..3u32 {
+            let stream: Vec<MemAccess> = (0..61u64)
+                .map(|i| {
+                    let kind = if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
+                    MemAccess::new(
+                        0x1000 + 8 * (i * 7 % 50) + u64::from(bid),
+                        8,
+                        kind,
+                        i as u32 % 5,
+                    )
+                })
+                .collect();
+            let ctx = tc(&label, bid);
+            deliver(&ctx, &stream[..40]);
+            sword.mutex_acquired(&ctx, 3);
+            deliver(&ctx, &stream[40..44]);
+            sword.mutex_released(&ctx, 3);
+            deliver(&ctx, &stream[44..]);
+            sword.barrier_begin(&ctx);
+            label.bump_in_place();
+            sword.barrier_end(&tc(&label, bid + 1));
+        }
+        sword.thread_end(&tc(&label, 3));
+        sword.program_end();
+        assert!(sword.take_error().is_none());
+        let stats = sword.stats();
+        let session = SessionDir::new(&dir);
+        let mut log = Vec::new();
+        LogReader::new(File::open(session.thread_log(0)).unwrap()).read_to_end(&mut log).unwrap();
+        let meta = fs::read(session.thread_meta(0)).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        (log, meta, stats.events, stats.flushes)
+    }
+
+    #[test]
+    fn access_batches_in_any_split_give_identical_sessions() {
+        for async_flush in [false, true] {
+            let mode = if async_flush { "async" } else { "sync" };
+            let whole = collect_in_splits(&format!("split-whole-{mode}"), async_flush, || 1000);
+            assert_eq!(whole.2, 3 * (61 + 2), "accesses plus the mutex pair per interval");
+            assert!(whole.3 > 3 * 8, "runs cross many 7-event buffers");
+            let ones = collect_in_splits(&format!("split-ones-{mode}"), async_flush, || 1);
+            assert_eq!(ones, whole, "splits of one ({mode})");
+            for seed in 1..=8u64 {
+                let mut x = seed;
+                let random =
+                    collect_in_splits(&format!("split-{seed}-{mode}"), async_flush, || {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        1 + (x >> 33) as usize % 20
+                    });
+                assert_eq!(random, whole, "random splits, seed {seed} ({mode})");
+            }
+        }
+    }
+
+    /// One worker creating `tasks` tasks of 40 accesses each (several
+    /// 16-event buffers), with a taskwait every 10.
+    fn collect_tasks(tag: &str, tasks: u64, async_flush: bool) -> SwordStats {
+        let dir = tmp_session(tag);
+        let mut config = SwordConfig::new(&dir).buffer_events(16);
+        if !async_flush {
+            config = config.sync_flush();
+        }
+        let (_, stats) = run_collected(config, SimConfig::default(), |sim| {
+            let a = sim.alloc::<u64>(64, 0);
+            sim.run(|ctx| {
+                ctx.parallel(1, |w| {
+                    for t in 0..tasks {
+                        w.task(|tc| {
+                            for i in 0..40 {
+                                tc.write(&a, (t + i) % 64, i);
+                            }
+                        });
+                        if t % 10 == 9 {
+                            w.taskwait();
+                        }
+                    }
+                });
+            });
+        })
+        .expect("collection succeeds");
+        fs::remove_dir_all(&dir).unwrap();
+        stats
+    }
+
+    #[test]
+    fn tool_memory_does_not_grow_with_the_task_count() {
+        let few = collect_tasks("tasks-50", 50, false);
+        let many = collect_tasks("tasks-400", 400, false);
+        assert_eq!(many.threads, 401, "every task logs under its own thread id");
+        assert_eq!(many.events, 400 * 40);
+        assert_eq!(few.tool_memory_bytes, many.tool_memory_bytes);
+        // Asynchronous flushing may create a few more buffers while frames
+        // are in flight, but never more than the budget of the threads
+        // collecting at once: worker + task, two buffers each, plus one
+        // per compression worker.
+        let stats = collect_tasks("tasks-400-async", 400, true);
+        let buffer = 16 * MAX_EVENT_BYTES as u64;
+        let workers = default_compress_workers() as u64;
+        let bookkeeping = 2 * std::mem::size_of::<ThreadLog>() as u64;
+        assert!(
+            stats.tool_memory_bytes <= (2 * 2 + workers) * buffer + bookkeeping,
+            "{} bytes",
+            stats.tool_memory_bytes
+        );
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! is owned by one [`BufferPool`]. When a thread's buffer fills it hands
 //! the full buffer off and immediately acquires a drained one, so the hot
 //! path never allocates; compression workers return buffers after encoding
-//! them. The pool's buffer budget grows only when a new thread registers
+//! them. The pool's buffer budget grows when a new thread registers
 //! (double buffering: two per thread) or a worker joins (one in-flight
-//! slot each), so `created_bytes` is the collector's bounded event-path
-//! footprint: `2·threads + workers` buffers, independent of how much the
-//! application allocates or how long it runs.
+//! slot each), and shrinks again when a finished task retires its thread
+//! (tasks never reuse an id), so `created_bytes` is the collector's
+//! bounded event-path footprint: `2·threads + workers` buffers for the
+//! threads collecting at once, independent of how much the application
+//! allocates, how many tasks it creates, or how long it runs.
 //!
 //! When the budget is exhausted — I/O persistently slower than event
 //! production — [`BufferPool::acquire`] blocks until a worker returns a
@@ -56,6 +58,14 @@ impl BufferPool {
     pub fn grow_budget(&self, extra: usize) {
         self.state.lock().budget += extra;
         self.available.notify_all();
+    }
+
+    /// Lowers the buffer budget by `share` (a finished task returning its
+    /// double-buffering share). Buffers already created stay in rotation;
+    /// only new allocations see the lower budget.
+    pub fn shrink_budget(&self, share: usize) {
+        let mut state = self.state.lock();
+        state.budget = state.budget.saturating_sub(share);
     }
 
     /// Takes a drained buffer, allocating only while under budget;

@@ -141,6 +141,14 @@ impl ThreadLog {
         std::mem::replace(&mut self.buffer, fresh)
     }
 
+    /// Gives up the (drained) pool buffer for good, leaving an empty
+    /// non-allocating `Vec`; `None` when the log holds none. For a log
+    /// that will record no more events (a finished task's).
+    pub fn release_buffer(&mut self) -> Option<Vec<u8>> {
+        debug_assert!(self.buffer.is_empty(), "drain before releasing the buffer");
+        (self.buffer.capacity() > 0).then(|| std::mem::take(&mut self.buffer))
+    }
+
     /// Takes the current buffer contents for the final flush (empty →
     /// `None`). The replacement is an empty non-allocating `Vec`: drains
     /// happen once, at end of run, after which the log only serves

@@ -14,8 +14,7 @@
 //! Methodology: each of `ROUNDS` rounds collects every leg once, back to
 //! back, rotating which leg goes first so no leg always inherits
 //! another's warm caches. A collection is `EVENTS_PER_THREAD` events per
-//! thread (~50 ms optimized, long enough to span a couple of scrape
-//! intervals). The assertion takes the *median* of the per-round
+//! thread (~20 ms optimized, about one scrape interval). The assertion takes the *median* of the per-round
 //! throughput ratios over many rounds: machine noise moves adjacent runs
 //! together, and one lucky or unlucky round cannot decide it. With every
 //! leg uninstrumented, this estimator reads within ±2% of parity on a

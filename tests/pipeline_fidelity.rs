@@ -270,12 +270,12 @@ fn an_idle_worker_builds_a_running_tasks_tree() {
     let arg = |k: &str| build.args.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap();
     assert!(arg("nodes") > 1000.0, "{build:?}");
     let requester = format!("oa-worker-{}", arg("for_worker"));
-    assert!(build.thread.starts_with("oa-worker-") && build.thread != requester, "{build:?}");
+    assert!(build.thread.starts_with("oa-worker-") && *build.thread != *requester, "{build:?}");
     let (start, end) = (build.t_us, build.t_us + build.dur_us.unwrap());
     let tasks_on = |lane: &str| -> Vec<(u64, u64)> {
         events
             .iter()
-            .filter(|e| e.name == "task" && e.thread == lane)
+            .filter(|e| e.name == "task" && &*e.thread == lane)
             .map(|e| (e.t_us, e.t_us + e.dur_us.unwrap()))
             .collect()
     };
